@@ -53,7 +53,7 @@ fn fmt_pct(p: Option<f64>) -> String {
 }
 
 fn print_diff(base: &[BenchRow], cand: &[BenchRow]) {
-    let solves = |r: &BenchRow| (r.warm_solves + r.cold_solves) as f64;
+    let solves = |r: &BenchRow| (r.stats.warm_solves + r.stats.cold_solves) as f64;
     println!(
         "{:<6} {:>12} {:>12} {:>9} | {:>8} | {:>8} | {:>10} | {:>13} {:>8} {:>12}",
         "width",
@@ -74,13 +74,13 @@ fn print_diff(base: &[BenchRow], cand: &[BenchRow]) {
             b.wall_secs,
             c.wall_secs,
             fmt_pct(pct(b.wall_secs, c.wall_secs)),
-            fmt_pct(pct(b.nodes as f64, c.nodes as f64)),
+            fmt_pct(pct(b.stats.nodes as f64, c.stats.nodes as f64)),
             fmt_pct(pct(solves(b), solves(c))),
-            fmt_pct(pct(b.lp_iterations as f64, c.lp_iterations as f64)),
-            c.warm_solves,
-            c.cold_solves,
-            c.lp_skipped,
-            c.pivots_saved
+            fmt_pct(pct(b.stats.lp_iterations as f64, c.stats.lp_iterations as f64)),
+            c.stats.warm_solves,
+            c.stats.cold_solves,
+            c.stats.lp_skipped,
+            c.stats.pivots_saved
         );
     }
     let total = |rows: &[BenchRow], f: fn(&BenchRow) -> f64| -> f64 {
@@ -88,15 +88,15 @@ fn print_diff(base: &[BenchRow], cand: &[BenchRow]) {
     };
     let (bw, cw) = (total(base, |r| r.wall_secs), total(cand, |r| r.wall_secs));
     let (bn, cn) = (
-        total(base, |r| r.nodes as f64),
-        total(cand, |r| r.nodes as f64),
+        total(base, |r| r.stats.nodes as f64),
+        total(cand, |r| r.stats.nodes as f64),
     );
     let (bs, cs) = (total(base, solves), total(cand, solves));
     let (bp, cp) = (
-        total(base, |r| r.lp_iterations as f64),
-        total(cand, |r| r.lp_iterations as f64),
+        total(base, |r| r.stats.lp_iterations as f64),
+        total(cand, |r| r.stats.lp_iterations as f64),
     );
-    let skipped: usize = cand.iter().map(|r| r.lp_skipped).sum();
+    let skipped: usize = cand.iter().map(|r| r.stats.lp_skipped).sum();
     println!(
         "total  {bw:>11.3}s {cw:>11.3}s {:>9} | {:>8} | {:>8} | {:>10} | {:>13} {skipped:>8}",
         fmt_pct(pct(bw, cw)),
@@ -135,7 +135,7 @@ fn print_metrics_diff(base: &[BenchRow], cand: &[BenchRow]) {
             .filter(|v| v.is_finite())
             .sum();
         let pivots = metric(rows, "lp.pivots")
-            .unwrap_or_else(|| rows.iter().map(|r| r.lp_iterations as f64).sum());
+            .unwrap_or_else(|| rows.iter().map(|r| r.stats.lp_iterations as f64).sum());
         (wall > 0.0).then(|| pivots / wall)
     };
     match (rate(base), rate(cand)) {
@@ -192,10 +192,10 @@ fn check_identical(base: &[BenchRow], cand: &[BenchRow]) -> Result<(), String> {
                 b.width, b.value, c.value
             ));
         }
-        if b.degradation != c.degradation {
+        if b.stats.degradation != c.stats.degradation {
             return Err(format!(
                 "row {i} (width {}): degradation drift — baseline `{}` vs candidate `{}`",
-                b.width, b.degradation, c.degradation
+                b.width, b.stats.degradation, c.stats.degradation
             ));
         }
     }

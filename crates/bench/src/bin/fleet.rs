@@ -190,15 +190,9 @@ fn main() {
                         width,
                         value: m.verified_max,
                         wall_secs: m.wall_secs,
-                        nodes: m.nodes,
-                        lp_iterations: m.lp_iterations,
-                        warm_solves: m.warm_solves,
-                        cold_solves: m.cold_solves,
-                        pivots_saved: m.pivots_saved,
-                        lp_skipped: m.lp_skipped,
+                        stats: m.stats,
                         threads: config.threads,
                         warm_start: config.warm_start,
-                        degradation: m.degradation,
                         metrics: Vec::new(),
                     })
                     .collect();

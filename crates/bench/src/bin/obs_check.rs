@@ -121,11 +121,6 @@ fn assert_identical(off: &Table2Result, on: &Table2Result) -> Result<(), String>
 }
 
 fn overhead() -> Result<(), String> {
-    if !cfg!(feature = "obs") {
-        return Err(
-            "--overhead needs a build with the default `obs` feature".to_string()
-        );
-    }
     // Off first, so the on-runs cannot leak recording into the baseline.
     certnn_obs::set_enabled(false);
     let (off_result, off_a) = timed_smoke()?;
@@ -289,17 +284,17 @@ fn assert_fleet_identical(off: &FleetResult, on: &FleetResult) -> Result<(), Str
         let bits = |v: Option<f64>| v.map(f64::to_bits);
         if bits(a.verified_max) != bits(b.verified_max)
             || a.safe != b.safe
-            || a.degradation != b.degradation
+            || a.stats.degradation != b.stats.degradation
         {
             return Err(format!(
                 "verdict drift on seed {}: off ({:?}, {:?}, {}) vs on ({:?}, {:?}, {})",
                 a.seed,
                 a.verified_max,
                 a.safe,
-                a.degradation.as_str(),
+                a.stats.degradation.as_str(),
                 b.verified_max,
                 b.safe,
-                b.degradation.as_str()
+                b.stats.degradation.as_str()
             ));
         }
     }
@@ -307,11 +302,6 @@ fn assert_fleet_identical(off: &FleetResult, on: &FleetResult) -> Result<(), Str
 }
 
 fn serve_overhead() -> Result<(), String> {
-    if !cfg!(feature = "obs") {
-        return Err(
-            "--serve-overhead needs a build with the default `obs` feature".to_string()
-        );
-    }
     // Off first, so the on-runs cannot leak recording into the baseline.
     certnn_obs::set_enabled(false);
     let (off_result, off_a) = timed_serve_fleet("off", 0)?;

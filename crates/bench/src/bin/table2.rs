@@ -197,16 +197,10 @@ fn main() {
                     .map(|(&width, row)| BenchRow {
                         width,
                         value: row.max_lateral,
-                        wall_secs: row.time.as_secs_f64(),
-                        nodes: row.nodes,
-                        lp_iterations: row.lp_iterations,
-                        warm_solves: row.warm_solves,
-                        cold_solves: row.cold_solves,
-                        pivots_saved: row.pivots_saved,
-                        lp_skipped: row.lp_skipped,
+                        wall_secs: row.stats.elapsed.as_secs_f64(),
+                        stats: row.stats,
                         threads: config.threads,
                         warm_start: config.warm_start,
-                        degradation: row.degradation,
                         metrics: Vec::new(),
                     })
                     .collect();

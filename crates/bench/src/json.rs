@@ -7,17 +7,20 @@
 //! ```json
 //! [
 //!   {"width": 10, "value": 0.688497, "wall_secs": 5.4, "nodes": 812,
-//!    "lp_iterations": 90321, "warm_solves": 700, "cold_solves": 112,
-//!    "pivots_saved": 41250, "threads": 4, "warm_start": true}
+//!    "lp_iterations": 90321, "binaries": 40, "rows": 900,
+//!    "warm_solves": 700, "cold_solves": 112, "pivots_saved": 41250,
+//!    "lp_skipped": 0, "lp_forced": 0, "threads": 4, "warm_start": true,
+//!    "degradation": "exact"}
 //! ]
 //! ```
 //!
-//! hand-rolled (no serde in this dependency-free workspace): the schema
-//! is a handful of fixed scalar fields, so a formatter and a parser stay
-//! small and keep the workspace building offline. [`parse_json`] accepts
-//! exactly what [`to_json`] produces plus older files missing the newer
-//! fields (they default to zero/true), so committed baselines stay
-//! readable across schema growth.
+//! hand-rolled (no serde in this dependency-free workspace): the counter
+//! keys are [`VerifyStats::counters`] in order, so a counter added to the
+//! solve record reaches the rows with no change here. Files are read back
+//! through the workspace's one JSON parser, [`certnn_obs::jsonl::parse`].
+//! [`parse_json`] accepts what [`to_json`] produces plus older files
+//! missing the newer fields (they default to zero/true), so committed
+//! baselines stay readable across schema growth.
 //!
 //! When a run is observed (`--metrics` on the report binaries) the final
 //! row additionally carries a nested `"metrics": {"lp.warm_solves": 700,
@@ -29,6 +32,9 @@
 //! without) observability.
 
 use certnn_lp::Degradation;
+use certnn_obs::jsonl::{self, Value};
+use certnn_verify::sealed::write_atomic;
+use certnn_verify::verifier::VerifyStats;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -43,27 +49,14 @@ pub struct BenchRow {
     pub value: Option<f64>,
     /// Wall-clock seconds for the row.
     pub wall_secs: f64,
-    /// Branch-and-bound nodes explored.
-    pub nodes: usize,
-    /// Simplex pivots across all LP solves of the row.
-    pub lp_iterations: usize,
-    /// LP solves that reused a parent basis via the dual simplex.
-    pub warm_solves: usize,
-    /// LP solves started from scratch.
-    pub cold_solves: usize,
-    /// Estimated pivots avoided by warm starts.
-    pub pivots_saved: usize,
-    /// B&B nodes whose LP relaxation the α-bound skip gate elided
-    /// (`0` on baselines written before the gate existed).
-    pub lp_skipped: usize,
+    /// Solve statistics of the row's queries. Every counter and the
+    /// degradation tag round-trip through the JSON (counters missing from
+    /// older files read as `0`); `elapsed` is not written.
+    pub stats: VerifyStats,
     /// Thread knob the row ran with (`0` = auto).
     pub threads: usize,
     /// Whether LP warm-starting was enabled for the row.
     pub warm_start: bool,
-    /// Worst degradation encountered answering the row's queries
-    /// (`exact` unless a fault, panic or deadline forced a sound
-    /// fallback; see [`Degradation`]).
-    pub degradation: Degradation,
     /// Run-cumulative observability scalars (`certnn-obs` counters and
     /// gauge high-water marks), sorted by name. Empty unless the run was
     /// observed; report binaries attach the snapshot to the final row
@@ -78,15 +71,9 @@ impl Default for BenchRow {
             width: 0,
             value: None,
             wall_secs: 0.0,
-            nodes: 0,
-            lp_iterations: 0,
-            warm_solves: 0,
-            cold_solves: 0,
-            pivots_saved: 0,
-            lp_skipped: 0,
+            stats: VerifyStats::default(),
             threads: 0,
             warm_start: true,
-            degradation: Degradation::Exact,
             metrics: Vec::new(),
         }
     }
@@ -126,26 +113,20 @@ pub fn to_json(rows: &[BenchRow]) -> String {
             .value
             .map_or("null".to_string(), |v| json_f64(round_value(v)));
         s.push_str(&format!(
-            "  {{\"width\": {}, \"value\": {}, \"wall_secs\": {}, \"nodes\": {}, \
-             \"lp_iterations\": {}, \"warm_solves\": {}, \"cold_solves\": {}, \
-             \"pivots_saved\": {}, \"lp_skipped\": {}, \"threads\": {}, \
-             \"warm_start\": {}, \"degradation\": \"{}\"",
+            "  {{\"width\": {}, \"value\": {}, \"wall_secs\": {}",
             r.width,
             value,
-            json_f64(r.wall_secs),
-            r.nodes,
-            r.lp_iterations,
-            r.warm_solves,
-            r.cold_solves,
-            r.pivots_saved,
-            r.lp_skipped,
+            json_f64(r.wall_secs)
+        ));
+        for (name, v) in r.stats.counters() {
+            s.push_str(&format!(", \"{name}\": {v}"));
+        }
+        s.push_str(&format!(
+            ", \"threads\": {}, \"warm_start\": {}, \"degradation\": \"{}\"",
             r.threads,
             r.warm_start,
-            r.degradation.as_str()
+            r.stats.degradation.as_str()
         ));
-        // The metrics object must stay the last key: the flat-field
-        // extractor only searches text before it, so row scalars can
-        // never collide with dotted metric names.
         if !r.metrics.is_empty() {
             s.push_str(", \"metrics\": {");
             for (j, (name, v)) in r.metrics.iter().enumerate() {
@@ -164,110 +145,35 @@ pub fn to_json(rows: &[BenchRow]) -> String {
     s
 }
 
-/// Writes rows to `path` as JSON.
+/// Writes rows to `path` as JSON, atomically ([`write_atomic`]): a crash
+/// leaves the previous file or none, never a torn one.
 ///
 /// # Errors
 ///
 /// Returns [`io::Error`] if the file cannot be written.
 pub fn write_json(path: &Path, rows: &[BenchRow]) -> io::Result<()> {
-    fs::write(path, to_json(rows))
+    write_atomic(path, to_json(rows).as_bytes())
 }
 
-/// Extracts the value of `key` from one flat JSON object body.
-fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = obj[start..].trim_start();
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Splits an array body into top-level `{...}` object bodies (outer
-/// braces stripped), tracking brace depth and string state so nested
-/// objects — the `"metrics"` block — stay inside their row.
-fn split_objects(body: &str) -> Result<Vec<&str>, String> {
-    let mut objs = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        if in_string {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    start = i + 1;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| format!("row {}: unbalanced `}}`", objs.len()))?;
-                if depth == 0 {
-                    objs.push(&body[start..i]);
-                }
-            }
-            _ => {}
-        }
+/// A non-negative integer field of row `row`.
+fn count(v: &Value, key: &str, row: usize) -> Result<usize, String> {
+    match v.as_f64() {
+        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64 => Ok(n as usize),
+        _ => Err(format!("row {row}: bad {key} `{v:?}`")),
     }
-    if depth != 0 || in_string {
-        return Err(format!("row {}: unterminated object", objs.len()));
-    }
-    Ok(objs)
 }
 
-/// Name→value pairs of an obs metrics block, as stored in
-/// [`BenchRow::metrics`].
-type MetricPairs = Vec<(String, f64)>;
-
-/// Parses the `"metrics": {...}` block of a row body, if present,
-/// returning the name→value pairs and the flat part preceding it.
-fn split_metrics(obj: &str, row: usize) -> Result<(&str, MetricPairs), String> {
-    const KEY: &str = "\"metrics\":";
-    let Some(key_at) = obj.find(KEY) else {
-        return Ok((obj, Vec::new()));
-    };
-    let flat = &obj[..key_at];
-    let after = obj[key_at + KEY.len()..].trim_start();
-    let inner = after
-        .strip_prefix('{')
-        .and_then(|r| r.split('}').next())
-        .ok_or_else(|| format!("row {row}: malformed metrics object"))?;
-    let mut metrics = Vec::new();
-    for pair in inner.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (name, value) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("row {row}: bad metrics pair `{pair}`"))?;
-        let name = name.trim().trim_matches('"').to_string();
-        let value = match value.trim() {
-            // Non-finite scalars render as null (JSON has no Inf/NaN).
-            "null" => f64::NAN,
-            v => v
-                .parse::<f64>()
-                .map_err(|_| format!("row {row}: bad metrics value in `{pair}`"))?,
-        };
-        metrics.push((name, value));
+/// A float field of row `row`; `null` (how non-finite values are
+/// written) reads as `None`.
+fn float(v: &Value, key: &str, row: usize) -> Result<Option<f64>, String> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Num(n) => Ok(Some(*n)),
+        _ => Err(format!("row {row}: bad {key} `{v:?}`")),
     }
-    Ok((flat, metrics))
 }
 
-/// Parses the flat-row JSON produced by [`to_json`]. Fields absent from
+/// Parses the row JSON produced by [`to_json`]. Fields absent from
 /// older files default ([`BenchRow::default`]), so baselines committed
 /// before a schema extension keep parsing.
 ///
@@ -283,68 +189,61 @@ pub fn parse_json(text: &str) -> Result<Vec<BenchRow>, String> {
     if body.is_empty() {
         return Err("empty file (truncated or interrupted write?)".to_string());
     }
-    let Some(opened) = body.strip_prefix('[') else {
+    if !body.starts_with('[') {
         return Err("expected a JSON array".to_string());
-    };
-    let Some(body) = opened.strip_suffix(']') else {
+    }
+    if !body.ends_with(']') {
         return Err(
             "unterminated JSON array — the file is truncated (interrupted write?)".to_string(),
         );
+    }
+    let Value::Arr(items) = jsonl::parse(body)? else {
+        return Err("expected a JSON array".to_string());
     };
-    let mut rows = Vec::new();
-    for full_obj in split_objects(body)? {
-        let (obj, metrics) = split_metrics(full_obj, rows.len())?;
+    let mut rows = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        if item.as_obj().is_none() {
+            return Err(format!("row {i}: expected an object"));
+        }
+        let width = item.get("width").ok_or_else(|| format!("row {i}: missing width"))?;
         let mut row = BenchRow {
-            metrics,
+            width: count(width, "width", i)?,
+            value: item.get("value").map(|v| float(v, "value", i)).transpose()?.flatten(),
+            wall_secs: match item.get("wall_secs") {
+                None => f64::NAN,
+                Some(v) => float(v, "wall_secs", i)?.unwrap_or(f64::NAN),
+            },
+            threads: item.get("threads").map_or(Ok(0), |v| count(v, "threads", i))?,
+            warm_start: match item.get("warm_start") {
+                None => true,
+                Some(Value::Bool(b)) => *b,
+                Some(v) => return Err(format!("row {i}: bad warm_start `{v:?}`")),
+            },
             ..BenchRow::default()
         };
-        let parse_usize = |key: &str| -> Result<Option<usize>, String> {
-            match field(obj, key) {
-                None => Ok(None),
-                Some(v) => v
-                    .parse()
-                    .map(Some)
-                    .map_err(|_| format!("row {}: bad {key} `{v}`", rows.len())),
+        for (name, slot) in row.stats.counters_mut() {
+            if let Some(v) = item.get(name) {
+                *slot = count(v, name, i)?;
             }
-        };
-        row.width = parse_usize("width")?
-            .ok_or_else(|| format!("row {}: missing width", rows.len()))?;
-        row.nodes = parse_usize("nodes")?.unwrap_or(0);
-        row.lp_iterations = parse_usize("lp_iterations")?.unwrap_or(0);
-        row.warm_solves = parse_usize("warm_solves")?.unwrap_or(0);
-        row.cold_solves = parse_usize("cold_solves")?.unwrap_or(0);
-        row.pivots_saved = parse_usize("pivots_saved")?.unwrap_or(0);
-        row.lp_skipped = parse_usize("lp_skipped")?.unwrap_or(0);
-        row.threads = parse_usize("threads")?.unwrap_or(0);
-        row.value = match field(obj, "value") {
-            None | Some("null") => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("row {}: bad value `{v}`", rows.len()))?,
-            ),
-        };
-        row.wall_secs = match field(obj, "wall_secs") {
-            None | Some("null") => f64::NAN,
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("row {}: bad wall_secs `{v}`", rows.len()))?,
-        };
-        row.warm_start = match field(obj, "warm_start") {
-            None => true,
-            Some("true") => true,
-            Some("false") => false,
-            Some(v) => return Err(format!("row {}: bad warm_start `{v}`", rows.len())),
-        };
-        row.degradation = match field(obj, "degradation") {
-            // Baselines written before the degradation ladder existed were
-            // fault-free exact runs by construction.
-            None => Degradation::Exact,
-            Some(v) => {
-                let name = v.trim_matches('"');
-                Degradation::from_str_opt(name)
-                    .ok_or_else(|| format!("row {}: bad degradation `{v}`", rows.len()))?
+        }
+        // Baselines written before the degradation ladder existed were
+        // fault-free exact runs by construction.
+        if let Some(v) = item.get("degradation") {
+            row.stats.degradation = v
+                .as_str()
+                .and_then(Degradation::from_str_opt)
+                .ok_or_else(|| format!("row {i}: bad degradation `{v:?}`"))?;
+        }
+        if let Some(v) = item.get("metrics") {
+            let pairs = v
+                .as_obj()
+                .ok_or_else(|| format!("row {i}: malformed metrics object"))?;
+            for (name, v) in pairs {
+                // Non-finite scalars render as null (JSON has no Inf/NaN).
+                let value = float(v, name, i)?.unwrap_or(f64::NAN);
+                row.metrics.push((name.clone(), value));
             }
-        };
+        }
         rows.push(row);
     }
     Ok(rows)
@@ -371,30 +270,36 @@ mod tests {
                 width: 10,
                 value: Some(0.6875),
                 wall_secs: 5.5,
-                nodes: 812,
-                lp_iterations: 90321,
-                warm_solves: 700,
-                cold_solves: 112,
-                pivots_saved: 41250,
-                lp_skipped: 0,
+                stats: VerifyStats {
+                    nodes: 812,
+                    lp_iterations: 90321,
+                    warm_solves: 700,
+                    cold_solves: 112,
+                    pivots_saved: 41250,
+                    lp_skipped: 0,
+                    degradation: Degradation::Exact,
+                    ..VerifyStats::default()
+                },
                 threads: 4,
                 warm_start: true,
-                degradation: Degradation::Exact,
                 metrics: Vec::new(),
             },
             BenchRow {
                 width: 60,
                 value: None,
                 wall_secs: 30.0,
-                nodes: 12000,
-                lp_iterations: 500000,
-                warm_solves: 0,
-                cold_solves: 12000,
-                pivots_saved: 0,
-                lp_skipped: 37,
+                stats: VerifyStats {
+                    nodes: 12000,
+                    lp_iterations: 500000,
+                    warm_solves: 0,
+                    cold_solves: 12000,
+                    pivots_saved: 0,
+                    lp_skipped: 37,
+                    degradation: Degradation::TimedOut,
+                    ..VerifyStats::default()
+                },
                 threads: 0,
                 warm_start: false,
-                degradation: Degradation::TimedOut,
                 metrics: vec![
                     ("bab.nodes".to_string(), 12000.0),
                     ("lp.warm_solves".to_string(), 700.0),
@@ -470,10 +375,10 @@ mod tests {
         let rows = parse_json(old).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].width, 6);
-        assert_eq!(rows[0].lp_iterations, 0);
+        assert_eq!(rows[0].stats.lp_iterations, 0);
         assert!(rows[0].warm_start);
         // Pre-ladder baselines were fault-free exact runs.
-        assert_eq!(rows[0].degradation, Degradation::Exact);
+        assert_eq!(rows[0].stats.degradation, Degradation::Exact);
     }
 
     #[test]
@@ -482,7 +387,7 @@ mod tests {
         assert!(s.contains("\"degradation\": \"exact\""));
         assert!(s.contains("\"degradation\": \"timed_out\""));
         let parsed = parse_json(&s).unwrap();
-        assert_eq!(parsed[1].degradation, Degradation::TimedOut);
+        assert_eq!(parsed[1].stats.degradation, Degradation::TimedOut);
         assert!(
             parse_json("[{\"width\": 1, \"degradation\": \"mangled\"}]").is_err(),
             "unknown degradation tag must be rejected, not defaulted"
@@ -501,7 +406,7 @@ mod tests {
         assert_eq!(parsed[1].metrics, rows[1].metrics);
         // The flat scalar `warm_solves` must come from the row, not from
         // the dotted metric of the same suffix.
-        assert_eq!(parsed[1].warm_solves, 0);
+        assert_eq!(parsed[1].stats.warm_solves, 0);
     }
 
     #[test]
@@ -554,13 +459,16 @@ mod tests {
             width: 8,
             value: Some(1.25),
             wall_secs: 1.0,
-            degradation: Degradation::CheckpointFallback,
+            stats: VerifyStats {
+                degradation: Degradation::CheckpointFallback,
+                ..VerifyStats::default()
+            },
             ..BenchRow::default()
         }];
         let s = to_json(&rows);
         assert!(s.contains("\"degradation\": \"checkpoint_fallback\""));
         let parsed = parse_json(&s).unwrap();
-        assert_eq!(parsed[0].degradation, Degradation::CheckpointFallback);
+        assert_eq!(parsed[0].stats.degradation, Degradation::CheckpointFallback);
     }
 
     #[test]
@@ -571,7 +479,10 @@ mod tests {
             width: 6,
             value: Some(1.5),
             wall_secs: 0.25,
-            nodes: 3,
+            stats: VerifyStats {
+                nodes: 3,
+                ..VerifyStats::default()
+            },
             threads: 2,
             ..BenchRow::default()
         }];

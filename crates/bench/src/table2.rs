@@ -35,7 +35,7 @@ use certnn_sim::features::FEATURE_COUNT;
 use certnn_sim::scenario::{generate_dataset, ScenarioConfig};
 use certnn_verify::bab::resolve_threads;
 use certnn_verify::checkpoint::CheckpointPolicy;
-use certnn_verify::verifier::{Verdict, Verifier, VerifierOptions};
+use certnn_verify::verifier::{Verdict, Verifier, VerifierOptions, VerifyStats};
 use certnn_verify::{Deadline, Degradation};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -161,25 +161,10 @@ pub struct Table2Row {
     pub max_lateral: Option<f64>,
     /// Best proven upper bound (meaningful when `max_lateral` is `None`).
     pub upper_bound: f64,
-    /// Verification wall time.
-    pub time: Duration,
-    /// Branch-and-bound nodes.
-    pub nodes: usize,
-    /// Binary variables after bound-tightening presolve.
-    pub binaries: usize,
-    /// Simplex pivots across all LP solves.
-    pub lp_iterations: usize,
-    /// LP solves that reused a parent basis via the dual simplex.
-    pub warm_solves: usize,
-    /// LP solves started from scratch.
-    pub cold_solves: usize,
-    /// Estimated pivots avoided by warm starts.
-    pub pivots_saved: usize,
-    /// B&B nodes whose LP relaxation the α-bound skip gate elided.
-    pub lp_skipped: usize,
-    /// Worst degradation across this row's queries (`Exact` on a clean
-    /// run; sound fallback bounds otherwise).
-    pub degradation: Degradation,
+    /// Solve statistics merged over the row's queries: `stats.elapsed` is
+    /// the verification wall time, `stats.degradation` is `Exact` on a
+    /// clean run (sound fallback bounds otherwise).
+    pub stats: VerifyStats,
 }
 
 /// The decision-query row of the reproduced table.
@@ -233,13 +218,13 @@ impl Table2Result {
                 Some(v) => format!("{v:.6}"),
                 None => format!("n.a. (bound {:.4})", row.upper_bound),
             };
-            if row.degradation > Degradation::Exact {
-                measured.push_str(&format!(" [{}]", row.degradation.as_str()));
+            if row.stats.degradation > Degradation::Exact {
+                measured.push_str(&format!(" [{}]", row.stats.degradation.as_str()));
             }
             let _ = writeln!(
                 s,
                 "{:<8} {:>26} {:>11.1?} {:>8} {:>10}",
-                row.label, measured, row.time, row.nodes, row.binaries
+                row.label, measured, row.stats.elapsed, row.stats.nodes, row.stats.binaries
             );
         }
         for proof in &self.proofs {
@@ -329,15 +314,7 @@ fn run_width(ctx: &WidthCtx, i: usize, width: usize) -> Result<(Table2Row, Netwo
         label: net.label(),
         max_lateral: result.max_lateral,
         upper_bound: upper,
-        time: result.stats.elapsed,
-        nodes: result.stats.nodes,
-        binaries: result.stats.binaries,
-        lp_iterations: result.stats.lp_iterations,
-        warm_solves: result.stats.warm_solves,
-        cold_solves: result.stats.cold_solves,
-        pivots_saved: result.stats.pivots_saved,
-        lp_skipped: result.stats.lp_skipped,
-        degradation: result.stats.degradation,
+        stats: result.stats,
     };
     Ok((row, net))
 }
@@ -492,7 +469,7 @@ mod tests {
             // Tiny networks must close within the limit.
             assert!(row.max_lateral.is_some(), "{} timed out", row.label);
             assert!(row.upper_bound >= row.max_lateral.unwrap() - 1e-6);
-            assert!(row.nodes >= 1);
+            assert!(row.stats.nodes >= 1);
         }
         assert_eq!(result.rows[0].label, "I4x4");
         assert_eq!(result.rows[1].label, "I4x6");

@@ -92,7 +92,7 @@ fn run_to_completion(work: &Path, ckpt_dir: &Path, json: &Path, extra: &[&str]) 
 /// significant digits, so equality here is exact-verdict equality).
 fn verdicts(rows: &[BenchRow]) -> Vec<(usize, Option<u64>, usize)> {
     rows.iter()
-        .map(|r| (r.width, r.value.map(f64::to_bits), r.nodes))
+        .map(|r| (r.width, r.value.map(f64::to_bits), r.stats.nodes))
         .collect()
 }
 
@@ -133,7 +133,7 @@ fn sigkilled_run_resumes_to_the_uninterrupted_verdicts() {
     );
     for row in &resumed {
         assert_eq!(
-            row.degradation,
+            row.stats.degradation,
             Degradation::Exact,
             "a cleanly finishing resumed run carries no degradation"
         );
@@ -187,7 +187,7 @@ fn corrupted_checkpoints_are_rejected_and_the_run_still_succeeds() {
         .map_or(0.0, |(_, v)| *v);
     let tagged = rows
         .iter()
-        .any(|r| r.degradation == Degradation::CheckpointFallback);
+        .any(|r| r.stats.degradation == Degradation::CheckpointFallback);
     assert!(
         fallbacks >= 1.0 || tagged,
         "a corrupted snapshot must be rejected and surfaced \

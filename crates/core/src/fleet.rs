@@ -20,8 +20,8 @@ use certnn_sim::features::FEATURE_COUNT;
 use certnn_sim::scenario::{generate_dataset, ScenarioConfig};
 use certnn_verify::bab::resolve_threads;
 use certnn_verify::checkpoint::CheckpointPolicy;
-use certnn_verify::verifier::{Verifier, VerifierOptions};
-use certnn_verify::{Deadline, Degradation};
+use certnn_verify::verifier::{Verifier, VerifierOptions, VerifyStats};
+use certnn_verify::Deadline;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -151,22 +151,10 @@ pub struct FleetMember {
     pub safe: Option<bool>,
     /// Wall-clock seconds to train *and* verify this member.
     pub wall_secs: f64,
-    /// Branch-and-bound nodes explored verifying this member.
-    pub nodes: usize,
-    /// Simplex pivots across all LP solves verifying this member.
-    pub lp_iterations: usize,
-    /// LP solves that reused a parent basis.
-    pub warm_solves: usize,
-    /// LP solves started from scratch.
-    pub cold_solves: usize,
-    /// Estimated pivots avoided by warm starts.
-    pub pivots_saved: usize,
-    /// B&B nodes whose LP relaxation the α-bound skip gate elided.
-    pub lp_skipped: usize,
-    /// Worst degradation across this member's verification queries:
-    /// `Exact` on a clean run, worse if a numeric fault, worker panic or
-    /// deadline forced a (still sound) fallback bound.
-    pub degradation: Degradation,
+    /// Solve statistics merged over this member's verification queries;
+    /// `stats.degradation` is `Exact` on a clean run, worse if a numeric
+    /// fault, worker panic or deadline forced a (still sound) fallback.
+    pub stats: VerifyStats,
 }
 
 /// Result of the fleet experiment.
@@ -229,7 +217,7 @@ impl FleetResult {
                 m.final_loss,
                 v,
                 safe,
-                m.degradation.as_str()
+                m.stats.degradation.as_str()
             );
         }
         let _ = writeln!(
@@ -316,13 +304,7 @@ fn run_member(
         verified_max: result.max_lateral,
         safe,
         wall_secs: start.elapsed().as_secs_f64(),
-        nodes: result.stats.nodes,
-        lp_iterations: result.stats.lp_iterations,
-        warm_solves: result.stats.warm_solves,
-        cold_solves: result.stats.cold_solves,
-        pivots_saved: result.stats.pivots_saved,
-        lp_skipped: result.stats.lp_skipped,
-        degradation: result.stats.degradation,
+        stats: result.stats,
     })
 }
 
@@ -389,9 +371,9 @@ pub fn run_fleet_under(config: &FleetConfig, deadline: Deadline) -> Result<Fleet
                             vec![
                                 ("seed", seed.into()),
                                 ("wall_secs", m.wall_secs.into()),
-                                ("nodes", m.nodes.into()),
+                                ("nodes", m.stats.nodes.into()),
                                 ("safe", m.safe.unwrap_or(false).into()),
-                                ("degradation", m.degradation.as_str().into()),
+                                ("degradation", m.stats.degradation.as_str().into()),
                             ],
                         );
                     }
@@ -448,7 +430,7 @@ mod tests {
         assert_eq!(result.safe_count() + result.unsafe_count(), 3);
         for m in &result.members {
             assert!(m.wall_secs > 0.0);
-            assert!(m.nodes >= 1);
+            assert!(m.stats.nodes >= 1);
         }
         let table = result.to_table();
         assert!(table.contains("FLEET"));

@@ -54,7 +54,7 @@ pub struct LateralVelocityResult {
     /// The overall maximum (max over components), if every component
     /// query closed.
     pub max_lateral: Option<f64>,
-    /// Aggregated statistics (summed over component queries).
+    /// Aggregated statistics (merged over component queries).
     pub stats: VerifyStats,
 }
 
@@ -82,17 +82,7 @@ pub fn max_lateral_velocity(
     let mut stats = VerifyStats::default();
     for obj in lateral_mean_objectives(layout) {
         let r = verifier.maximize(net, spec, &obj)?;
-        stats.nodes += r.stats.nodes;
-        stats.lp_iterations += r.stats.lp_iterations;
-        stats.binaries = stats.binaries.max(r.stats.binaries);
-        stats.rows = stats.rows.max(r.stats.rows);
-        stats.warm_solves += r.stats.warm_solves;
-        stats.cold_solves += r.stats.cold_solves;
-        stats.pivots_saved += r.stats.pivots_saved;
-        stats.lp_skipped += r.stats.lp_skipped;
-        stats.lp_forced += r.stats.lp_forced;
-        stats.elapsed += r.stats.elapsed;
-        stats.degradation = stats.degradation.merge(r.stats.degradation);
+        stats.merge(&r.stats);
         per_component.push(r);
     }
     let max_lateral = per_component
@@ -126,17 +116,7 @@ pub fn prove_lateral_below(
     let mut worst_hold_bound = f64::NEG_INFINITY;
     for obj in lateral_mean_objectives(layout) {
         let (verdict, s) = verifier.prove_below(net, spec, &obj, threshold)?;
-        stats.nodes += s.nodes;
-        stats.lp_iterations += s.lp_iterations;
-        stats.binaries = stats.binaries.max(s.binaries);
-        stats.rows = stats.rows.max(s.rows);
-        stats.warm_solves += s.warm_solves;
-        stats.cold_solves += s.cold_solves;
-        stats.pivots_saved += s.pivots_saved;
-        stats.lp_skipped += s.lp_skipped;
-        stats.lp_forced += s.lp_forced;
-        stats.elapsed += s.elapsed;
-        stats.degradation = stats.degradation.merge(s.degradation);
+        stats.merge(&s);
         match verdict {
             Verdict::Holds { bound } => worst_hold_bound = worst_hold_bound.max(bound),
             other => return Ok((other, stats)),

@@ -16,7 +16,6 @@
 //!   outcome.
 //! - `watch JOB` — streams progress events until the job finishes.
 //! - `cancel JOB` — cancels a queued or running job.
-//! - `stats` — prints the daemon's serve-layer counters.
 //! - `metrics [--watch] [--interval-ms N]` — prints the daemon's live
 //!   telemetry: gauges, cumulative counters, windowed per-second rates
 //!   and p50/p95/p99, and recent events. `--watch` reprints every
@@ -129,12 +128,6 @@ fn run(client: &mut Client, command: &str, args: &[String]) -> Result<(), ServeE
                     _ => "unknown job",
                 }
             );
-            Ok(())
-        }
-        "stats" => {
-            for (name, value) in client.stats()? {
-                println!("{name:<28} {value}");
-            }
             Ok(())
         }
         "metrics" => {

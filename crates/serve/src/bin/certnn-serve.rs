@@ -27,6 +27,7 @@
 #![warn(clippy::unwrap_used)]
 
 use certnn_serve::server::{ServeOptions, Server};
+use certnn_verify::sealed::write_atomic;
 use std::path::PathBuf;
 
 fn main() {
@@ -100,10 +101,7 @@ fn main() {
     if let Some(path) = port_file {
         // Publish atomically so a polling script never reads a torn
         // address.
-        let tmp = path.with_extension("tmp");
-        let write = std::fs::write(&tmp, server.addr().to_string())
-            .and_then(|()| std::fs::rename(&tmp, &path));
-        if let Err(e) = write {
+        if let Err(e) = write_atomic(&path, server.addr().to_string().as_bytes()) {
             eprintln!("cannot write port file {}: {e}", path.display());
             std::process::exit(1);
         }

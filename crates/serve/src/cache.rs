@@ -1,10 +1,9 @@
 //! Content-addressed certificate cache and crash-safe job spool.
 //!
-//! Both stores follow the checkpoint layer's file discipline: a magic +
-//! version header, an FNV-1a checksum trailer over the body, and atomic
-//! publication (temp file in the same directory → `fsync` → rename).
-//! A crash at any moment leaves either a previous complete file or no
-//! file — never a torn one under the real name.
+//! Every file here is a [`certnn_verify::sealed`] file — magic + version
+//! header, FNV-1a trailer over the body — published with
+//! [`write_atomic`], so a crash at any moment leaves either a previous
+//! complete file or no file — never a torn one under the real name.
 //!
 //! **Cache** (`cache/c<key>.cert`): a finished [`JobOutcome`] under its
 //! job key, sealed together with the *full request* that produced it.
@@ -26,10 +25,9 @@
 
 use crate::flight::{decode_flight, encode_flight, FlightLog};
 use crate::protocol::{decode_outcome, decode_request, encode_outcome, encode_request, JobOutcome, JobRequest};
-use crate::wire::{Dec, Enc, ProtocolError};
-use certnn_verify::checkpoint::Fnv1a;
+use crate::wire::ProtocolError;
+use certnn_verify::sealed::{seal, unseal, write_atomic, Dec, Enc};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic of a certificate cache entry.
@@ -52,60 +50,6 @@ pub enum Miss {
     Corrupt,
 }
 
-pub(crate) fn seal(magic: [u8; 4], body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-    out.extend_from_slice(body);
-    let mut h = Fnv1a::new();
-    h.write(body);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
-}
-
-pub(crate) fn unseal(magic: [u8; 4], bytes: &[u8]) -> Result<&[u8], ProtocolError> {
-    if bytes.len() < 16 {
-        return Err(ProtocolError::Truncated { wanted: 16 });
-    }
-    if bytes[..4] != magic {
-        return Err(ProtocolError::BadMagic);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != STORE_VERSION {
-        return Err(ProtocolError::UnsupportedVersion(version));
-    }
-    let body = &bytes[8..bytes.len() - 8];
-    let stored = u64::from_le_bytes(
-        bytes[bytes.len() - 8..]
-            .try_into()
-            .map_err(|_| ProtocolError::Truncated { wanted: 8 })?,
-    );
-    let mut h = Fnv1a::new();
-    h.write(body);
-    if h.finish() != stored {
-        return Err(ProtocolError::Checksum);
-    }
-    Ok(body)
-}
-
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename itself; losing it on a power cut only costs
-        // the newest entry, never corrupts one.
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 /// Canonical encoding of a request, used both inside certificate
 /// entries and for the byte-exact comparison that guards against job
 /// key collisions (bit-pattern floats make it NaN-proof where a
@@ -123,7 +67,7 @@ pub fn encode_entry(outcome: &JobOutcome, req: &JobRequest) -> Vec<u8> {
     let mut e = Enc::new();
     e.bytes(&request_bytes(req));
     encode_outcome(&mut e, outcome);
-    seal(CERT_MAGIC, &e.0)
+    seal(CERT_MAGIC, STORE_VERSION, &e.0)
 }
 
 /// Decodes a sealed certificate entry into the request it answers and
@@ -133,7 +77,7 @@ pub fn encode_entry(outcome: &JobOutcome, req: &JobRequest) -> Vec<u8> {
 ///
 /// [`ProtocolError`] on any structural or checksum violation.
 pub fn decode_entry(bytes: &[u8]) -> Result<(JobRequest, JobOutcome), ProtocolError> {
-    let body = unseal(CERT_MAGIC, bytes)?;
+    let body = unseal(CERT_MAGIC, STORE_VERSION, bytes)?;
     let mut d = Dec::new(body);
     let req_bytes = d.bytes()?.to_vec();
     let outcome = decode_outcome(&mut d)?;
@@ -230,7 +174,7 @@ impl Store {
     pub fn put_flight(&self, log: &FlightLog) -> std::io::Result<()> {
         let mut e = Enc::new();
         encode_flight(&mut e, log);
-        write_atomic(&self.flight_path(log.key), &seal(FLIGHT_MAGIC, &e.0))
+        write_atomic(&self.flight_path(log.key), &seal(FLIGHT_MAGIC, STORE_VERSION, &e.0))
     }
 
     /// Loads the persisted flight log for `key`. `None` when absent; a
@@ -240,7 +184,7 @@ impl Store {
     pub fn get_flight(&self, key: u64) -> Option<FlightLog> {
         let path = self.flight_path(key);
         let bytes = fs::read(&path).ok()?;
-        let decoded = unseal(FLIGHT_MAGIC, &bytes).ok().and_then(|body| {
+        let decoded = unseal(FLIGHT_MAGIC, STORE_VERSION, &bytes).ok().and_then(|body| {
             let mut d = Dec::new(body);
             let log = decode_flight(&mut d).ok()?;
             d.finish().ok()?;
@@ -260,7 +204,7 @@ impl Store {
     pub fn put_job(&self, key: u64, req: &JobRequest) -> std::io::Result<()> {
         let mut e = Enc::new();
         encode_request(&mut e, req);
-        write_atomic(&self.job_path(key), &seal(JOB_MAGIC, &e.0))
+        write_atomic(&self.job_path(key), &seal(JOB_MAGIC, STORE_VERSION, &e.0))
     }
 
     /// Removes a finished job's spool entry (missing is fine).
@@ -291,7 +235,7 @@ impl Store {
             };
             let Ok(key) = u64::from_str_radix(hex, 16) else { continue };
             let decoded = fs::read(&path).ok().and_then(|bytes| {
-                let body = unseal(JOB_MAGIC, &bytes).ok()?;
+                let body = unseal(JOB_MAGIC, STORE_VERSION, &bytes).ok()?;
                 let mut d = Dec::new(body);
                 let req = decode_request(&mut d).ok()?;
                 d.finish().ok()?;
@@ -328,8 +272,9 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::WireStats;
+    use certnn_verify::verifier::VerifyStats;
     use certnn_verify::{Degradation, MilpStatus};
+    use std::time::Duration;
 
     fn outcome(key: u64) -> JobOutcome {
         JobOutcome {
@@ -338,10 +283,10 @@ mod tests {
             upper_bound: 2.25,
             best_value: Some(2.25),
             witness: Some(vec![0.5, -0.5]),
-            stats: WireStats {
+            stats: VerifyStats {
                 nodes: 10,
-                elapsed_nanos: 42,
-                ..WireStats::default()
+                elapsed: Duration::from_nanos(42),
+                ..VerifyStats::default()
             },
             degradation: Degradation::Exact,
             cache_hit: false,
@@ -372,6 +317,27 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
         let store = Store::open(&root).expect("store opens");
         (root, store)
+    }
+
+    /// Length and FNV-1a of an encoding: pins its bytes without a
+    /// dependency on the codec under test.
+    fn pin(bytes: &[u8]) -> (usize, u64) {
+        let h = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (bytes.len(), h)
+    }
+
+    #[test]
+    fn store_file_bytes_are_pinned() {
+        // Certificates and spool entries written by earlier daemons must
+        // stay readable: the sealed layout and both bodies are frozen.
+        assert_eq!(pin(&encode_entry(&outcome(0xabcd), &request())), (278, 8284256462879516499));
+        let (root, store) = temp_store("pin");
+        store.put_job(7, &request()).expect("job spools");
+        let spooled = fs::read(store.job_path(7)).expect("spool entry reads");
+        assert_eq!(pin(&spooled), (137, 7723431086192077917));
+        let _ = fs::remove_dir_all(root);
     }
 
     #[test]

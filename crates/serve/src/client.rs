@@ -212,19 +212,6 @@ impl Client {
         }
     }
 
-    /// Fetches the daemon's serve-layer counters, name-sorted.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError`] on wire failure.
-    pub fn stats(&mut self) -> Result<Vec<(String, u64)>, ServeError> {
-        self.send(&Msg::Stats)?;
-        match self.recv_ok()? {
-            Msg::StatsReply { entries } => Ok(entries),
-            _ => Err(ServeError::UnexpectedReply("expected STATS_REPLY")),
-        }
-    }
-
     /// Fetches the daemon's live telemetry snapshot: cumulative
     /// counters, queue/worker/cache gauges, windowed rates and
     /// percentiles, and recent `serve.*` events.

@@ -20,7 +20,7 @@ use certnn_core::fleet::{
 use certnn_core::scenario::{lateral_mean_objectives, left_vehicle_spec};
 use certnn_nn::gmm::OutputLayout;
 use certnn_verify::bab::resolve_threads;
-use certnn_verify::Degradation;
+use certnn_verify::verifier::VerifyStats;
 use std::net::ToSocketAddrs;
 use std::time::Instant;
 
@@ -88,21 +88,9 @@ fn member_from_outcomes(
     started: Instant,
     outcomes: &[JobOutcome],
 ) -> FleetMember {
-    let mut nodes = 0usize;
-    let mut lp_iterations = 0usize;
-    let mut warm_solves = 0usize;
-    let mut cold_solves = 0usize;
-    let mut pivots_saved = 0usize;
-    let mut lp_skipped = 0usize;
-    let mut degradation = Degradation::Exact;
+    let mut stats = VerifyStats::default();
     for o in outcomes {
-        nodes += o.stats.nodes as usize;
-        lp_iterations += o.stats.lp_iterations as usize;
-        warm_solves += o.stats.warm_solves as usize;
-        cold_solves += o.stats.cold_solves as usize;
-        pivots_saved += o.stats.pivots_saved as usize;
-        lp_skipped += o.stats.lp_skipped as usize;
-        degradation = degradation.merge(o.degradation);
+        stats.merge(&o.stats);
     }
     let verified_max = outcomes
         .iter()
@@ -115,12 +103,6 @@ fn member_from_outcomes(
         verified_max,
         safe: verified_max.map(|v| v <= bound),
         wall_secs: started.elapsed().as_secs_f64(),
-        nodes,
-        lp_iterations,
-        warm_solves,
-        cold_solves,
-        pivots_saved,
-        lp_skipped,
-        degradation,
+        stats,
     }
 }

@@ -22,7 +22,8 @@
 //! query (same key) finds the recording of the solve that produced its
 //! cached certificate.
 
-use crate::wire::{Dec, Enc, ProtocolError};
+use crate::wire::ProtocolError;
+use certnn_verify::sealed::{Dec, Enc};
 use std::sync::Mutex;
 use std::time::Instant;
 

@@ -10,12 +10,12 @@
 //!   over TCP; every malformed byte sequence maps to a typed
 //!   [`wire::ProtocolError`], never a panic.
 //! - [`protocol`] — the message layer: `SUBMIT`/`STATUS`/`RESULT`/
-//!   `CANCEL`/`WATCH`/`EVENT`/`STATS`/`SHUTDOWN`, plus the
+//!   `CANCEL`/`WATCH`/`EVENT`/`METRICS`/`FLIGHT`/`SHUTDOWN`, plus the
 //!   [`protocol::JobRequest`]/[`protocol::JobOutcome`] payload codecs
 //!   shared with the on-disk cache.
 //! - [`cache`] — content-addressed certificate cache and crash-safe job
-//!   spool, reusing the checkpoint layer's fingerprint + checksum +
-//!   atomic-rename discipline.
+//!   spool: sealed files ([`certnn_verify::sealed`]) keyed by the
+//!   checkpoint layer's query fingerprint.
 //! - [`server`] — the daemon: bounded worker pool, job table with
 //!   request coalescing, cancellation via [`certnn_verify::Deadline`],
 //!   graceful drain, and resume of spooled jobs on restart.

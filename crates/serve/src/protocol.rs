@@ -1,12 +1,12 @@
 //! Typed messages of the serve protocol, layered on [`crate::wire`].
 //!
 //! A client speaks a strict request/reply discipline: `SUBMIT`,
-//! `STATUS`, `RESULT`, `CANCEL`, `STATS` and `SHUTDOWN` each elicit one
-//! reply frame; `WATCH` elicits a stream of `EVENT` frames terminated by
-//! a `RESULT` reply (or an `ERROR`). Every message encodes through the
-//! allocation-guarded [`Enc`]/[`Dec`] codec and is interpretable on its
-//! own — no implicit connection state — which is what makes the
-//! robustness suite's byte-level attacks tractable.
+//! `STATUS`, `RESULT`, `CANCEL`, `METRICS`, `FLIGHT` and `SHUTDOWN` each
+//! elicit one reply frame; `WATCH` elicits a stream of `EVENT` frames
+//! terminated by a `RESULT` reply (or an `ERROR`). Every message encodes
+//! through the allocation-guarded [`Enc`]/[`Dec`] codec and is
+//! interpretable on its own — no implicit connection state — which is
+//! what makes the robustness suite's byte-level attacks tractable.
 //!
 //! The unit of work is a [`JobRequest`]: a network (in the workspace's
 //! bit-exact text serialisation), an input specification, a linear
@@ -16,14 +16,15 @@
 //! the certificate cache, or a resumed checkpoint.
 
 use crate::flight::{decode_flight, encode_flight, FlightLog};
-use crate::wire::{Dec, Enc, Frame, ProtocolError};
+use crate::wire::{Frame, ProtocolError};
 use certnn_nn::network::Network;
 use certnn_obs::SpanContext;
 use certnn_nn::serialize::{from_text, to_text};
 use certnn_verify::bab::resolve_threads;
-use certnn_verify::checkpoint::{query_fingerprint, Fnv1a};
+use certnn_verify::checkpoint::query_fingerprint;
 use certnn_verify::property::{InputSpec, LinearConstraint, LinearObjective, Relation};
-use certnn_verify::verifier::{MaxResult, VerifierOptions};
+use certnn_verify::sealed::{degradation_code, degradation_from_code, Dec, Enc, Fnv1a};
+use certnn_verify::verifier::{MaxResult, VerifierOptions, VerifyStats};
 use certnn_verify::{Degradation, MilpStatus};
 use std::time::Duration;
 
@@ -62,10 +63,8 @@ pub mod kind {
     pub const SHUTDOWN: u8 = 12;
     /// Server → client: drain acknowledged.
     pub const SHUTDOWN_REPLY: u8 = 13;
-    /// Client → server: fetch serve-layer counters.
-    pub const STATS: u8 = 14;
-    /// Server → client: counter snapshot.
-    pub const STATS_REPLY: u8 = 15;
+    // 14 and 15 are retired: never reassign them, so a frame from an old
+    // peer is rejected as an unknown kind rather than misread.
     /// Client → server: fetch the live telemetry snapshot.
     pub const METRICS: u8 = 16;
     /// Server → client: live telemetry snapshot.
@@ -324,32 +323,6 @@ pub fn job_key_of(
 // Job outcome
 // ---------------------------------------------------------------------------
 
-/// Solver statistics of a finished job (the wire image of
-/// [`certnn_verify::verifier::VerifyStats`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WireStats {
-    /// Branch-and-bound nodes explored.
-    pub nodes: u64,
-    /// Simplex pivots across all LP solves.
-    pub lp_iterations: u64,
-    /// Binary variables in the encoding.
-    pub binaries: u64,
-    /// Constraint rows in the encoding.
-    pub rows: u64,
-    /// LP solves that reused a parent basis.
-    pub warm_solves: u64,
-    /// LP solves started from scratch.
-    pub cold_solves: u64,
-    /// Estimated pivots avoided by warm starts.
-    pub pivots_saved: u64,
-    /// Nodes whose LP relaxation the skip gate elided.
-    pub lp_skipped: u64,
-    /// Nodes whose LP relaxation ran while the gate was active.
-    pub lp_forced: u64,
-    /// Wall-clock nanoseconds of the solve.
-    pub elapsed_nanos: u64,
-}
-
 /// Outcome of a finished job: verdict, witness and statistics — the
 /// payload a certificate cache entry stores and a `RESULT` reply ships.
 #[derive(Debug, Clone, PartialEq)]
@@ -364,8 +337,9 @@ pub struct JobOutcome {
     pub best_value: Option<f64>,
     /// An input achieving `best_value`.
     pub witness: Option<Vec<f64>>,
-    /// Solver statistics.
-    pub stats: WireStats,
+    /// Solver statistics; `stats.degradation` always equals
+    /// [`JobOutcome::degradation`].
+    pub stats: VerifyStats,
     /// Worst degradation encountered answering the query.
     pub degradation: Degradation,
     /// `true` when this outcome was served from the certificate cache
@@ -383,18 +357,7 @@ impl JobOutcome {
             upper_bound: r.upper_bound,
             best_value: r.best_value,
             witness: r.witness.as_ref().map(|w| w.iter().copied().collect()),
-            stats: WireStats {
-                nodes: r.stats.nodes as u64,
-                lp_iterations: r.stats.lp_iterations as u64,
-                binaries: r.stats.binaries as u64,
-                rows: r.stats.rows as u64,
-                warm_solves: r.stats.warm_solves as u64,
-                cold_solves: r.stats.cold_solves as u64,
-                pivots_saved: r.stats.pivots_saved as u64,
-                lp_skipped: r.stats.lp_skipped as u64,
-                lp_forced: r.stats.lp_forced as u64,
-                elapsed_nanos: r.stats.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-            },
+            stats: r.stats,
             degradation: r.stats.degradation,
             cache_hit: false,
         }
@@ -632,16 +595,6 @@ pub enum Msg {
     Shutdown,
     /// Drain acknowledged.
     ShutdownReply,
-    /// Fetch serve counters.
-    Stats,
-    /// Counter snapshot, name-sorted. On the wire each entry is
-    /// `name | tag u8 | length-prefixed payload`; decoders skip entries
-    /// with unknown tags, so a client keeps working against a newer
-    /// daemon that exports field types it does not know.
-    StatsReply {
-        /// `(name, value)` pairs.
-        entries: Vec<(String, u64)>,
-    },
     /// Fetch the live telemetry snapshot.
     Metrics,
     /// Live telemetry snapshot.
@@ -658,27 +611,6 @@ pub enum Msg {
 // ---------------------------------------------------------------------------
 // Codec
 // ---------------------------------------------------------------------------
-
-pub(crate) fn encode_degradation(d: Degradation) -> u8 {
-    match d {
-        Degradation::Exact => 0,
-        Degradation::CheckpointFallback => 1,
-        Degradation::ColdFallback => 2,
-        Degradation::IntervalOnly => 3,
-        Degradation::TimedOut => 4,
-    }
-}
-
-fn decode_degradation(v: u8) -> Result<Degradation, ProtocolError> {
-    Ok(match v {
-        0 => Degradation::Exact,
-        1 => Degradation::CheckpointFallback,
-        2 => Degradation::ColdFallback,
-        3 => Degradation::IntervalOnly,
-        4 => Degradation::TimedOut,
-        _ => return Err(ProtocolError::Malformed("unknown degradation code")),
-    })
-}
 
 fn encode_status(s: MilpStatus) -> u8 {
     match s {
@@ -807,22 +739,11 @@ pub fn encode_outcome(e: &mut Enc, o: &JobOutcome) {
             }
         }
     }
-    let s = &o.stats;
-    for v in [
-        s.nodes,
-        s.lp_iterations,
-        s.binaries,
-        s.rows,
-        s.warm_solves,
-        s.cold_solves,
-        s.pivots_saved,
-        s.lp_skipped,
-        s.lp_forced,
-        s.elapsed_nanos,
-    ] {
-        e.u64(v);
+    for (_, v) in o.stats.counters() {
+        e.u64(v as u64);
     }
-    e.u8(encode_degradation(o.degradation));
+    e.u64(o.stats.elapsed_nanos());
+    e.u8(degradation_code(o.degradation));
     e.u8(u8::from(o.cache_hit));
 }
 
@@ -852,11 +773,13 @@ pub fn decode_outcome(d: &mut Dec<'_>) -> Result<JobOutcome, ProtocolError> {
         }
         _ => return Err(ProtocolError::Malformed("bad witness flag")),
     };
-    let mut nums = [0u64; 10];
-    for v in &mut nums {
-        *v = d.u64()?;
+    let mut stats = VerifyStats::default();
+    for (_, v) in stats.counters_mut() {
+        *v = usize::try_from(d.u64()?).map_err(|_| ProtocolError::Malformed("counter overflow"))?;
     }
-    let degradation = decode_degradation(d.u8()?)?;
+    stats.elapsed = Duration::from_nanos(d.u64()?);
+    let degradation = degradation_from_code(d.u8()?)?;
+    stats.degradation = degradation;
     let cache_hit = d.u8()? != 0;
     Ok(JobOutcome {
         key,
@@ -864,18 +787,7 @@ pub fn decode_outcome(d: &mut Dec<'_>) -> Result<JobOutcome, ProtocolError> {
         upper_bound,
         best_value,
         witness,
-        stats: WireStats {
-            nodes: nums[0],
-            lp_iterations: nums[1],
-            binaries: nums[2],
-            rows: nums[3],
-            warm_solves: nums[4],
-            cold_solves: nums[5],
-            pivots_saved: nums[6],
-            lp_skipped: nums[7],
-            lp_forced: nums[8],
-            elapsed_nanos: nums[9],
-        },
+        stats,
         degradation,
         cache_hit,
     })
@@ -1034,19 +946,6 @@ impl Msg {
             }
             Msg::Shutdown => kind::SHUTDOWN,
             Msg::ShutdownReply => kind::SHUTDOWN_REPLY,
-            Msg::Stats => kind::STATS,
-            Msg::StatsReply { entries } => {
-                e.u64(entries.len() as u64);
-                for (name, v) in entries {
-                    e.str(name);
-                    // Tagged payload (tag 0 = LE u64): a peer that meets
-                    // a tag it does not know skips the entry instead of
-                    // failing the whole frame.
-                    e.u8(0);
-                    e.bytes(&v.to_le_bytes());
-                }
-                kind::STATS_REPLY
-            }
             Msg::Metrics => kind::METRICS,
             Msg::MetricsReply(m) => {
                 encode_metrics(&mut e, m);
@@ -1120,25 +1019,6 @@ impl Msg {
             },
             kind::SHUTDOWN => Msg::Shutdown,
             kind::SHUTDOWN_REPLY => Msg::ShutdownReply,
-            kind::STATS => Msg::Stats,
-            kind::STATS_REPLY => {
-                let n = d.len(17)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = d.str()?;
-                    let tag = d.u8()?;
-                    let payload = d.bytes()?;
-                    if tag == 0 && payload.len() == 8 {
-                        let mut a = [0u8; 8];
-                        a.copy_from_slice(payload);
-                        entries.push((name, u64::from_le_bytes(a)));
-                    }
-                    // Unknown tag (or an unexpected width for a known
-                    // one): a field from a different daemon version —
-                    // skip it, keep every entry we do understand.
-                }
-                Msg::StatsReply { entries }
-            }
             kind::METRICS => Msg::Metrics,
             kind::METRICS_REPLY => Msg::MetricsReply(Box::new(decode_metrics(&mut d)?)),
             kind::FLIGHT => Msg::Flight { job: d.u64()? },
@@ -1184,7 +1064,7 @@ mod tests {
             upper_bound: 1.5,
             best_value: Some(1.5),
             witness: Some(vec![0.25, -1.0, 0.75]),
-            stats: WireStats {
+            stats: VerifyStats {
                 nodes: 42,
                 lp_iterations: 999,
                 binaries: 4,
@@ -1194,7 +1074,8 @@ mod tests {
                 pivots_saved: 100,
                 lp_skipped: 7,
                 lp_forced: 1,
-                elapsed_nanos: 123_456_789,
+                elapsed: Duration::from_nanos(123_456_789),
+                degradation: Degradation::ColdFallback,
             },
             degradation: Degradation::ColdFallback,
             cache_hit: true,
@@ -1225,6 +1106,24 @@ mod tests {
         let mut other = req;
         other.time_limit_ms += 1;
         assert_ne!(k1, other.job_key().expect("key"));
+    }
+
+    /// Length and FNV-1a of an encoding: pins its bytes without a
+    /// dependency on the codec under test.
+    fn pin(bytes: &[u8]) -> (usize, u64) {
+        let h = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (bytes.len(), h)
+    }
+
+    #[test]
+    fn outcome_bytes_are_pinned() {
+        // RESULT bodies and every cached certificate embed this encoding;
+        // a change here breaks every peer and every certificate on disk.
+        let mut e = Enc::new();
+        encode_outcome(&mut e, &sample_outcome());
+        assert_eq!(pin(&e.0), (141, 8588414167324780161));
     }
 
     #[test]
@@ -1272,10 +1171,6 @@ mod tests {
             },
             Msg::Shutdown,
             Msg::ShutdownReply,
-            Msg::Stats,
-            Msg::StatsReply {
-                entries: vec![("serve.cache_hits".into(), 3)],
-            },
         ];
         for msg in msgs {
             let (kind, body) = msg.to_frame();
@@ -1326,37 +1221,6 @@ mod tests {
         // And the context never perturbs the content-address: coalescing
         // and cache hits must be trace-independent.
         assert_eq!(req.job_key().expect("key"), sample_request().job_key().expect("key"));
-    }
-
-    #[test]
-    fn stats_reply_skips_unknown_tags() {
-        // A daemon from the future exports an entry with tag 7; the
-        // decoder must keep the entries it understands and drop the rest.
-        let mut e = Enc::new();
-        e.u64(3);
-        e.str("serve.cache_hits");
-        e.u8(0);
-        e.bytes(&5u64.to_le_bytes());
-        e.str("serve.solve_temperature_milli_kelvin");
-        e.u8(7);
-        e.bytes(b"some future payload");
-        e.str("serve.jobs_completed");
-        e.u8(0);
-        e.bytes(&2u64.to_le_bytes());
-        let back = Msg::from_frame(&Frame {
-            kind: kind::STATS_REPLY,
-            body: e.0,
-        })
-        .expect("decodes despite unknown tag");
-        assert_eq!(
-            back,
-            Msg::StatsReply {
-                entries: vec![
-                    ("serve.cache_hits".into(), 5),
-                    ("serve.jobs_completed".into(), 2),
-                ],
-            }
-        );
     }
 
     #[test]

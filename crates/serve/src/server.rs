@@ -36,6 +36,7 @@ use certnn_nn::network::Network;
 use certnn_verify::bab::resolve_threads;
 use certnn_verify::checkpoint::CheckpointPolicy;
 use certnn_verify::property::{InputSpec, LinearObjective};
+use certnn_verify::sealed::degradation_code;
 use certnn_verify::verifier::{Verifier, VerifierOptions};
 use certnn_verify::{Deadline, Degradation, MilpStatus};
 use std::collections::{HashMap, VecDeque};
@@ -638,7 +639,7 @@ fn worker_loop(shared: &Shared) {
         let cancelled = table.entries[idx].cancel_requested;
         let draining = shared.draining.load(Ordering::SeqCst);
         match result {
-            Ok(r) => {
+            Ok(mut r) => {
                 if cancelled && r.status == MilpStatus::Aborted {
                     table.entries[idx].state = State::Cancelled;
                     table.by_key.remove(&key);
@@ -655,16 +656,16 @@ fn worker_loop(shared: &Shared) {
                         .unwrap_or(false);
                     flight.record(FlightKind::Drained, u64::from(resumable), 0, "");
                 } else {
-                    let mut outcome = JobOutcome::from_max_result(key, &r);
                     if cache_was_corrupt {
                         // Answered despite a damaged cache entry: same
                         // ladder as a damaged checkpoint.
-                        outcome.degradation =
-                            outcome.degradation.merge(Degradation::CheckpointFallback);
+                        r.stats.degradation =
+                            r.stats.degradation.merge(Degradation::CheckpointFallback);
                     }
-                    certnn_obs::histogram("serve.job_wall_nanos").record(outcome.stats.elapsed_nanos);
-                    certnn_obs::windowed_histogram("serve.job_wall_nanos")
-                        .record(outcome.stats.elapsed_nanos);
+                    let outcome = JobOutcome::from_max_result(key, &r);
+                    let wall_nanos = outcome.stats.elapsed_nanos();
+                    certnn_obs::histogram("serve.job_wall_nanos").record(wall_nanos);
+                    certnn_obs::windowed_histogram("serve.job_wall_nanos").record(wall_nanos);
                     if outcome.status != MilpStatus::Aborted
                         && shared.store.put_cert(&outcome, &request).is_err()
                     {
@@ -681,15 +682,15 @@ fn worker_loop(shared: &Shared) {
                     if outcome.degradation != Degradation::Exact {
                         flight.record(
                             FlightKind::Degradation,
-                            u64::from(crate::protocol::encode_degradation(outcome.degradation)),
+                            u64::from(degradation_code(outcome.degradation)),
                             0,
                             format!("{:?}", outcome.degradation),
                         );
                     }
                     flight.record(
                         FlightKind::Finished,
-                        outcome.stats.nodes,
-                        outcome.stats.elapsed_nanos,
+                        outcome.stats.nodes as u64,
+                        wall_nanos,
                         "",
                     );
                     // Persist the audit trail next to the certificate so
@@ -835,15 +836,6 @@ fn handle_message(
             send(stream, shared, &Msg::CancelReply { outcome })
         }
         Msg::Watch { job } => handle_watch(stream, shared, job),
-        Msg::Stats => {
-            let mut entries = shared.stats.snapshot();
-            entries.push((
-                "serve.queue_depth".to_string(),
-                shared.table.lock().unwrap_or_else(|e| e.into_inner()).depth(),
-            ));
-            entries.sort();
-            send(stream, shared, &Msg::StatsReply { entries })
-        }
         Msg::Shutdown => {
             send(stream, shared, &Msg::ShutdownReply)?;
             drain(shared);
@@ -864,8 +856,7 @@ fn handle_message(
         | Msg::Error { .. }
         | Msg::ShutdownReply
         | Msg::MetricsReply(_)
-        | Msg::FlightReply(_)
-        | Msg::StatsReply { .. } => {
+        | Msg::FlightReply(_) => {
             send_error(stream, shared, ErrorCode::Malformed, "reply kind sent as request");
             Ok(())
         }

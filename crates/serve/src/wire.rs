@@ -7,17 +7,17 @@
 //! magic "CNSF" | version u32 | kind u8 | body_len u32 | body | fnv64(body)
 //! ```
 //!
-//! All integers are little-endian; floats inside bodies are stored as
-//! `f64::to_bits` (the same conventions as the checkpoint codec, so a
-//! verdict that crosses the wire is bit-identical to one read from
-//! disk). The fixed 13-byte header is parsed before anything else, so a
-//! torn, truncated, oversized or garbage frame is rejected with a typed
+//! Bodies use the workspace's one byte codec, [`certnn_verify::sealed`],
+//! which the certificate cache and checkpoints use too, so a verdict that
+//! crosses the wire is bit-identical to one read from disk. The fixed
+//! 13-byte header is parsed before anything else, so a torn, truncated,
+//! oversized or garbage frame is rejected with a typed
 //! [`ProtocolError`] before a single body byte is interpreted — never a
 //! panic, and never an unbounded allocation (the body length is capped
 //! at [`MAX_BODY`] and additionally checked against what the socket can
 //! actually deliver).
 
-use certnn_verify::checkpoint::Fnv1a;
+use certnn_verify::sealed::{fnv64, CodecError};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -104,6 +104,20 @@ impl fmt::Display for ProtocolError {
 
 impl Error for ProtocolError {}
 
+impl From<CodecError> for ProtocolError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { wanted, available } => ProtocolError::Truncated {
+                wanted: wanted.saturating_sub(available),
+            },
+            CodecError::BadMagic => ProtocolError::BadMagic,
+            CodecError::UnsupportedVersion(v) => ProtocolError::UnsupportedVersion(v),
+            CodecError::Checksum => ProtocolError::Checksum,
+            CodecError::Malformed(why) => ProtocolError::Malformed(why),
+        }
+    }
+}
+
 impl From<io::Error> for ProtocolError {
     fn from(e: io::Error) -> Self {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -121,12 +135,6 @@ pub struct Frame {
     pub kind: u8,
     /// Raw message body (already checksum-verified).
     pub body: Vec<u8>,
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
 }
 
 /// Writes one frame. The body is checksummed so the receiver detects
@@ -218,143 +226,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtocolError> {
     Ok(Frame { kind, body })
 }
 
-// ---------------------------------------------------------------------------
-// Body codec
-// ---------------------------------------------------------------------------
-
-/// Little-endian body encoder (same conventions as the checkpoint codec).
-#[derive(Debug, Default)]
-pub struct Enc(pub Vec<u8>);
-
-impl Enc {
-    /// Fresh empty encoder.
-    pub fn new() -> Self {
-        Self(Vec::new())
-    }
-    /// Appends a byte.
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Appends an `f64` by bit pattern (bit-exact round trip).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.0.extend_from_slice(v);
-    }
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-}
-
-/// Little-endian body decoder with allocation-guarded length prefixes.
-#[derive(Debug)]
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    /// Decoder over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(ProtocolError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(ProtocolError::Truncated {
-                wanted: n - (self.buf.len() - self.pos),
-            });
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Reads a byte.
-    pub fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Reads an `f64` by bit pattern.
-    pub fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length prefix that must be realisable from the remaining
-    /// bytes (each element at least `elem_bytes` wide), so a corrupt
-    /// length cannot trigger a huge allocation.
-    pub fn len(&mut self, elem_bytes: usize) -> Result<usize, ProtocolError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| ProtocolError::Malformed("length overflow"))?;
-        let remaining = self.buf.len() - self.pos;
-        if elem_bytes > 0 && n > remaining / elem_bytes.max(1) {
-            return Err(ProtocolError::Truncated {
-                wanted: n.saturating_mul(elem_bytes) - remaining,
-            });
-        }
-        Ok(n)
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8], ProtocolError> {
-        let n = self.len(1)?;
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, ProtocolError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| ProtocolError::Malformed("invalid utf-8"))
-    }
-
-    /// `true` when every byte has been consumed.
-    pub fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Rejects trailing bytes — every message must consume its body
-    /// exactly, so a frame cannot smuggle undeclared payload.
-    pub fn finish(&self) -> Result<(), ProtocolError> {
-        if self.done() {
-            Ok(())
-        } else {
-            Err(ProtocolError::Malformed("trailing bytes in body"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +240,14 @@ mod tests {
         // A second read at the boundary reports a clean close.
         let mut rest: &[u8] = &[];
         assert_eq!(read_frame(&mut rest), Err(ProtocolError::Closed));
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 7, b"hello frames").unwrap();
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "434e534601000000070c00000068656c6c6f206672616d6573431bce55ea802e33");
     }
 
     #[test]
@@ -436,34 +315,5 @@ mod tests {
                 "flip at byte {i}"
             );
         }
-    }
-
-    #[test]
-    fn enc_dec_round_trip_and_finish() {
-        let mut e = Enc::new();
-        e.u8(9);
-        e.u32(77);
-        e.u64(1 << 40);
-        e.f64(-0.0);
-        e.str("wire");
-        let mut d = Dec::new(&e.0);
-        assert_eq!(d.u8().unwrap(), 9);
-        assert_eq!(d.u32().unwrap(), 77);
-        assert_eq!(d.u64().unwrap(), 1 << 40);
-        assert_eq!(d.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(d.str().unwrap(), "wire");
-        d.finish().unwrap();
-        // Trailing bytes are rejected.
-        let mut e2 = Enc::new();
-        e2.u8(1);
-        e2.u8(2);
-        let mut d2 = Dec::new(&e2.0);
-        assert_eq!(d2.u8().unwrap(), 1);
-        assert!(d2.finish().is_err());
-        // Corrupt length prefixes cannot force huge allocations.
-        let mut e3 = Enc::new();
-        e3.u64(u64::MAX);
-        let mut d3 = Dec::new(&e3.0);
-        assert!(d3.len(8).is_err());
     }
 }

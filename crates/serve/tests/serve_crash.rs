@@ -125,7 +125,7 @@ fn killed_daemon_resumes_to_the_uninterrupted_verdict() {
     // being resubmitted.
     let (mut child, addr) = spawn_daemon(&dir, &port_file);
     let mut client = Client::connect(addr.trim()).expect("reconnects");
-    let stats = client.stats().expect("stats");
+    let stats = client.metrics().expect("metrics").counters;
     let resumed = stats
         .iter()
         .find(|(n, _)| n == "serve.jobs_resumed")
@@ -159,7 +159,7 @@ fn killed_daemon_resumes_to_the_uninterrupted_verdict() {
         "a clean checkpoint resume is not a degradation"
     );
     assert_eq!(
-        outcome.stats.nodes, reference.stats.nodes as u64,
+        outcome.stats.nodes, reference.stats.nodes,
         "cumulative node count must match the uninterrupted search"
     );
 

@@ -1201,7 +1201,7 @@ pub fn bab_maximize_ckpt(
         // key: a snapshot only ever meets a search that would walk the
         // identical tree.
         let query_hash = {
-            let mut h = checkpoint::Fnv1a::new();
+            let mut h = crate::sealed::Fnv1a::new();
             h.write_u64(checkpoint::query_fingerprint(net, spec, objective));
             h.write_u64(policy.seed);
             h.write_f64(opts.abs_gap);

@@ -10,16 +10,19 @@
 //!
 //! # File format
 //!
+//! A [`crate::sealed`] file whose body is a fixed sequence of sections:
+//!
 //! ```text
-//! magic "CNCK" | version u32 | sections… | fnv64(everything before)
+//! magic "CNCK" | version u32 | sections… | fnv64(sections)
 //! section: tag u8 | payload_len u64 | payload | fnv64(payload)
 //! ```
 //!
-//! All integers are little-endian; floats are stored as `f64::to_bits`.
 //! Sections appear in fixed order: header, incumbent, warm-start pool,
-//! frontier. Every section carries its own FNV-1a checksum and the whole
-//! file carries a trailing one, so any single-byte corruption — torn
+//! frontier. Every section carries its own FNV-1a checksum and the body
+//! carries the sealed trailer, so any single-byte corruption — torn
 //! write, bit flip, truncation — is detected before anything is trusted.
+//! Version 1 files, whose trailer also covered magic and version, are
+//! rejected like any other unreadable snapshot.
 //!
 //! # What is (and is not) trusted from disk
 //!
@@ -42,12 +45,15 @@
 //! fresh solve tagged [`Degradation::CheckpointFallback`].
 
 use crate::property::{InputSpec, LinearObjective};
+use crate::sealed::{
+    degradation_code, degradation_from_code, fnv64, seal, unseal, write_atomic, CodecError, Dec,
+    Enc, Fnv1a,
+};
 use certnn_lp::Degradation;
 use certnn_nn::network::Network;
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -56,7 +62,7 @@ use std::time::Duration;
 pub const MAGIC: [u8; 4] = *b"CNCK";
 
 /// Current format version. Readers reject anything else.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Default [`CheckpointPolicy::every_nodes`].
 pub const DEFAULT_EVERY_NODES: usize = 64;
@@ -87,61 +93,6 @@ pub(crate) fn ckpt_metrics() -> &'static CkptMetrics {
         corrupt_fallbacks: certnn_obs::counter("ckpt.corrupt_fallbacks"),
         snapshot_nanos: certnn_obs::histogram("ckpt.snapshot_nanos"),
     })
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a
-// ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Streaming FNV-1a 64-bit hasher — the workspace's standard cheap,
-/// dependency-free content hash (same family as the LP basis signatures).
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorbs a little-endian `u64`.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs an `f64` by bit pattern (distinguishes `-0.0` from `0.0`
-    /// and every NaN payload — exactly what a content address wants).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Final hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
 }
 
 /// Content-address of a verification query: an FNV-1a hash over the
@@ -430,48 +381,45 @@ fn io_err(path: &Path, e: &std::io::Error) -> CheckpointError {
     CheckpointError::Io(e.kind(), path.display().to_string())
 }
 
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { wanted, available } => {
+                CheckpointError::Truncated { wanted, available }
+            }
+            CodecError::BadMagic => CheckpointError::BadMagic,
+            CodecError::UnsupportedVersion(v) => CheckpointError::UnsupportedVersion(v),
+            CodecError::Checksum => CheckpointError::FileChecksum,
+            CodecError::Malformed(why) => CheckpointError::Malformed(why),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Codec
 // ---------------------------------------------------------------------------
 
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
-
-fn encode_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+fn encode_section(out: &mut Enc, tag: u8, payload: &Enc) {
+    out.u8(tag);
+    out.bytes(&payload.0);
+    out.u64(fnv64(&payload.0));
 }
 
 /// Encodes a snapshot to its on-disk byte representation.
 pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    let mut out = Enc(Vec::with_capacity(4096));
 
-    let mut h = Enc(Vec::new());
+    let mut h = Enc::new();
     h.u64(snap.query_hash);
     h.u64(snap.seed);
     h.u64(snap.nodes_done);
     h.u64(snap.next_seq);
     h.u64(snap.elapsed_nanos);
     h.f64(snap.dropped_bound);
-    h.u8(encode_degradation(snap.degradation));
-    encode_section(&mut out, SEC_HEADER, &h.0);
+    h.u8(degradation_code(snap.degradation));
+    encode_section(&mut out, SEC_HEADER, &h);
 
-    let mut inc = Enc(Vec::new());
+    let mut inc = Enc::new();
     match &snap.incumbent {
         None => inc.u8(0),
         Some((w, v)) => {
@@ -483,9 +431,9 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
             inc.f64(*v);
         }
     }
-    encode_section(&mut out, SEC_INCUMBENT, &inc.0);
+    encode_section(&mut out, SEC_INCUMBENT, &inc);
 
-    let mut pool = Enc(Vec::new());
+    let mut pool = Enc::new();
     pool.u64(snap.warm_pool.len() as u64);
     for d in &snap.warm_pool {
         pool.u64(d.m);
@@ -494,20 +442,18 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
         for &b in &d.basis {
             pool.u64(b);
         }
-        pool.u64(d.status.len() as u64);
-        pool.0.extend_from_slice(&d.status);
+        pool.bytes(&d.status);
     }
-    encode_section(&mut out, SEC_WARM_POOL, &pool.0);
+    encode_section(&mut out, SEC_WARM_POOL, &pool);
 
-    let mut fr = Enc(Vec::new());
+    let mut fr = Enc::new();
     fr.u64(snap.frontier.len() as u64);
     for n in &snap.frontier {
         fr.f64(n.bound);
         fr.u64(n.depth);
         fr.u64(n.seq);
         fr.u8(n.retries);
-        fr.u64(n.phases.len() as u64);
-        fr.0.extend_from_slice(&n.phases);
+        fr.bytes(&n.phases);
         match &n.alpha {
             None => fr.u8(0),
             Some(a) => {
@@ -520,82 +466,9 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
         }
         fr.u64(n.warm_idx.map_or(u64::MAX, |w| w));
     }
-    encode_section(&mut out, SEC_FRONTIER, &fr.0);
+    encode_section(&mut out, SEC_FRONTIER, &fr);
 
-    let file_sum = fnv64(&out);
-    out.extend_from_slice(&file_sum.to_le_bytes());
-    out
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated {
-                wanted: n,
-                available: self.buf.len() - self.pos,
-            });
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// Reads a length prefix that must be realisable from the remaining
-    /// bytes (each element at least `elem_bytes` wide), so a corrupt
-    /// length cannot trigger a huge allocation.
-    fn len(&mut self, elem_bytes: usize) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| CheckpointError::Malformed("length overflow"))?;
-        let remaining = self.buf.len() - self.pos;
-        if elem_bytes > 0 && n > remaining / elem_bytes.max(1) {
-            return Err(CheckpointError::Truncated {
-                wanted: n.saturating_mul(elem_bytes),
-                available: remaining,
-            });
-        }
-        Ok(n)
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn encode_degradation(d: Degradation) -> u8 {
-    match d {
-        Degradation::Exact => 0,
-        Degradation::CheckpointFallback => 1,
-        Degradation::ColdFallback => 2,
-        Degradation::IntervalOnly => 3,
-        Degradation::TimedOut => 4,
-    }
-}
-
-fn decode_degradation(v: u8) -> Result<Degradation, CheckpointError> {
-    Ok(match v {
-        0 => Degradation::Exact,
-        1 => Degradation::CheckpointFallback,
-        2 => Degradation::ColdFallback,
-        3 => Degradation::IntervalOnly,
-        4 => Degradation::TimedOut,
-        _ => return Err(CheckpointError::Malformed("unknown degradation code")),
-    })
+    seal(MAGIC, FORMAT_VERSION, &out.0)
 }
 
 /// Reads one section, verifying tag and checksum, returning its payload.
@@ -604,8 +477,7 @@ fn section<'a>(dec: &mut Dec<'a>, tag: u8) -> Result<&'a [u8], CheckpointError> 
     if got != tag {
         return Err(CheckpointError::Malformed("unexpected section tag"));
     }
-    let len = dec.len(1)?;
-    let payload = dec.take(len)?;
+    let payload = dec.bytes()?;
     let stored = dec.u64()?;
     if fnv64(payload) != stored {
         return Err(CheckpointError::SectionChecksum(tag));
@@ -614,54 +486,28 @@ fn section<'a>(dec: &mut Dec<'a>, tag: u8) -> Result<&'a [u8], CheckpointError> 
 }
 
 /// Decodes a snapshot from its on-disk byte representation, verifying the
-/// whole-file checksum first and then every section checksum, so no field
-/// is interpreted before its integrity is established.
+/// sealed trailer first and then every section checksum, so no field is
+/// interpreted before its integrity is established.
 ///
 /// # Errors
 ///
 /// Any [`CheckpointError`] variant other than `Io`/`QueryMismatch`.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(CheckpointError::Truncated {
-            wanted: MAGIC.len() + 4 + 8,
-            available: bytes.len(),
-        });
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(trailer);
-    if fnv64(body) != u64::from_le_bytes(stored) {
-        return Err(CheckpointError::FileChecksum);
-    }
-    let mut dec = Dec { buf: body, pos: 0 };
-    if dec.take(MAGIC.len())? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let ver = {
-        let b = dec.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        u32::from_le_bytes(a)
-    };
-    if ver != FORMAT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion(ver));
-    }
+    let mut dec = Dec::new(unseal(MAGIC, FORMAT_VERSION, bytes)?);
 
-    let header = section(&mut dec, SEC_HEADER)?;
-    let mut h = Dec { buf: header, pos: 0 };
+    let mut h = Dec::new(section(&mut dec, SEC_HEADER)?);
     let query_hash = h.u64()?;
     let seed = h.u64()?;
     let nodes_done = h.u64()?;
     let next_seq = h.u64()?;
     let elapsed_nanos = h.u64()?;
     let dropped_bound = h.f64()?;
-    let degradation = decode_degradation(h.u8()?)?;
+    let degradation = degradation_from_code(h.u8()?)?;
     if !h.done() {
         return Err(CheckpointError::Malformed("trailing bytes in header"));
     }
 
-    let inc_payload = section(&mut dec, SEC_INCUMBENT)?;
-    let mut i = Dec { buf: inc_payload, pos: 0 };
+    let mut i = Dec::new(section(&mut dec, SEC_INCUMBENT)?);
     let incumbent = match i.u8()? {
         0 => None,
         1 => {
@@ -678,8 +524,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         return Err(CheckpointError::Malformed("trailing bytes in incumbent"));
     }
 
-    let pool_payload = section(&mut dec, SEC_WARM_POOL)?;
-    let mut p = Dec { buf: pool_payload, pos: 0 };
+    let mut p = Dec::new(section(&mut dec, SEC_WARM_POOL)?);
     let pool_len = p.len(24)?;
     let mut warm_pool = Vec::with_capacity(pool_len);
     for _ in 0..pool_len {
@@ -690,16 +535,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         for _ in 0..bl {
             basis.push(p.u64()?);
         }
-        let sl = p.len(1)?;
-        let status = p.take(sl)?.to_vec();
+        let status = p.bytes()?.to_vec();
         warm_pool.push(WarmDesc { m, n_struct, basis, status });
     }
     if !p.done() {
         return Err(CheckpointError::Malformed("trailing bytes in warm pool"));
     }
 
-    let fr_payload = section(&mut dec, SEC_FRONTIER)?;
-    let mut fdec = Dec { buf: fr_payload, pos: 0 };
+    let mut fdec = Dec::new(section(&mut dec, SEC_FRONTIER)?);
     let n_nodes = fdec.len(34)?;
     let mut frontier = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
@@ -707,8 +550,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         let depth = fdec.u64()?;
         let seq = fdec.u64()?;
         let retries = fdec.u8()?;
-        let pl = fdec.len(1)?;
-        let phases = fdec.take(pl)?.to_vec();
+        let phases = fdec.bytes()?.to_vec();
         let alpha = match fdec.u8()? {
             0 => None,
             1 => {
@@ -752,31 +594,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
 // Atomic file IO
 // ---------------------------------------------------------------------------
 
-/// Writes a snapshot atomically: encode → temp file in the same directory
-/// → `fsync` → rename over the target → best-effort directory `fsync`.
-/// A crash at any point leaves either the previous complete checkpoint or
-/// none — never a torn file under the real name. Returns the bytes
-/// written.
+/// Writes a snapshot atomically ([`write_atomic`]): a crash at any point
+/// leaves either the previous complete checkpoint or none — never a torn
+/// file under the real name. Returns the bytes written.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Io`] on any filesystem failure.
 pub fn write_snapshot(path: &Path, snap: &Snapshot) -> Result<u64, CheckpointError> {
     let bytes = encode_snapshot(snap);
-    let tmp = path.with_extension("ckpt.tmp");
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-        f.write_all(&bytes).map_err(|e| io_err(&tmp, &e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, &e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename itself; failure here only risks losing the
-        // *newest* snapshot on a power cut, never corrupting one.
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    write_atomic(path, &bytes).map_err(|e| io_err(path, &e))?;
     Ok(bytes.len() as u64)
 }
 
@@ -854,6 +681,38 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// `encode_snapshot(&sample_snapshot())` as format version 1 wrote
+    /// it (trailer over magic, version and sections).
+    const V1_FIXTURE: &str = concat!(
+        "434e434b010000000131000000000000000df0fecaefbeadde07000000000000",
+        "002a00000000000000630000000000000087d6120000000000000000000000f0",
+        "ff049af0e68fabaecd4702290000000000000001030000000000000000000000",
+        "0000d03f000000000000f0bf000000000000e03f000000000000fc3f4bdc7ff1",
+        "9a75c167033d0000000000000001000000000000000200000000000000030000",
+        "0000000000020000000000000000000000000000000400000000000000050000",
+        "00000000000001020100b0a81b425da3e66c048c000000000000000200000000",
+        "0000000000000000000c4002000000000000000b000000000000000004000000",
+        "00000000000102000104000000000000000000000000000000000000000000e0",
+        "3f000000000000f03f000000000000d03f0000000000000000000000000000f4",
+        "3f050000000000000011000000000000000104000000000000000202010000ff",
+        "ffffffffffffff08fbab87588fc012c8282b93ef0e8a52",
+    );
+
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn v1_fixture_is_rejected_as_unsupported_version() {
+        assert_eq!(
+            decode_snapshot(&from_hex(V1_FIXTURE)),
+            Err(CheckpointError::UnsupportedVersion(1))
+        );
     }
 
     #[test]

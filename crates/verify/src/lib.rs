@@ -71,6 +71,7 @@ pub mod property;
 pub mod quant;
 pub mod range;
 pub mod robustness;
+pub mod sealed;
 pub mod verifier;
 
 pub use certnn_lp::{Deadline, Degradation};

@@ -1,6 +1,6 @@
 //! Verification queries: exact output maximisation and bound proofs.
 
-use crate::bab::{bab_maximize_ckpt, BabOptions};
+use crate::bab::{bab_maximize_ckpt, BabOptions, BabResult};
 use crate::bounds::interval_objective_ceiling;
 use crate::checkpoint::CheckpointPolicy;
 use crate::encoder::{encode, BoundMethod, EncodingStats};
@@ -11,38 +11,77 @@ use certnn_milp::{BranchAndBound, Deadline, Degradation, MilpOptions, MilpStats,
 use certnn_nn::network::Network;
 use std::time::Duration;
 
-/// Statistics of one verification run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct VerifyStats {
+/// Declares [`VerifyStats`] from one list of its counters. The struct
+/// fields, [`VerifyStats::merge`] and the ordered name/value views that
+/// every encoder walks (the serve wire and certificate cache, bench JSON)
+/// are generated from the same list, so a counter added here reaches all
+/// of them. Each counter names how [`VerifyStats::merge`] folds it:
+/// `sum` adds, `max` keeps the larger value.
+macro_rules! verify_stats {
+    ($( $(#[$doc:meta])* $field:ident: $fold:ident, )+) => {
+        /// Statistics of one verification run.
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
+        pub struct VerifyStats {
+            $( $(#[$doc])* pub $field: usize, )+
+            /// Wall-clock time of the solve.
+            pub elapsed: Duration,
+            /// Worst degradation encountered while answering the query:
+            /// [`Degradation::Exact`] on a clean run, worse if the search
+            /// recovered from numeric faults, worker panics or an expired
+            /// deadline. The reported bounds stay sound at every level.
+            pub degradation: Degradation,
+        }
+
+        impl VerifyStats {
+            /// Every counter with its name, in declaration order (the
+            /// order of the wire and certificate encodings).
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, usize)> {
+                [$( (stringify!($field), self.$field), )+].into_iter()
+            }
+
+            /// Mutable view of every counter, in the order of
+            /// [`VerifyStats::counters`] (used by decoders).
+            pub fn counters_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut usize)> {
+                [$( (stringify!($field), &mut self.$field), )+].into_iter()
+            }
+
+            /// Folds the statistics of another query into `self`: counts
+            /// add, encoding sizes keep their maximum, elapsed times add
+            /// and the worst degradation wins.
+            pub fn merge(&mut self, other: &VerifyStats) {
+                $( verify_stats!(@$fold self.$field, other.$field); )+
+                self.elapsed += other.elapsed;
+                self.degradation = self.degradation.merge(other.degradation);
+            }
+        }
+    };
+    (@sum $a:expr, $b:expr) => { $a += $b };
+    (@max $a:expr, $b:expr) => { $a = $a.max($b) };
+}
+
+verify_stats! {
     /// Branch-and-bound nodes explored.
-    pub nodes: usize,
+    nodes: sum,
     /// Simplex pivots across all LP solves.
-    pub lp_iterations: usize,
+    lp_iterations: sum,
     /// Binary variables in the encoding (unstable neurons).
-    pub binaries: usize,
+    binaries: max,
     /// Constraint rows in the encoding.
-    pub rows: usize,
+    rows: max,
     /// LP solves that reused a parent basis via the dual simplex.
-    pub warm_solves: usize,
+    warm_solves: sum,
     /// LP solves started from scratch (first node per worker, or a warm
     /// attempt that fell back after basis invalidation).
-    pub cold_solves: usize,
+    cold_solves: sum,
     /// Estimated pivots avoided by warm starts, measured against the
     /// running mean pivot count of the cold solves.
-    pub pivots_saved: usize,
+    pivots_saved: sum,
     /// Branch-and-bound nodes whose LP relaxation the α-bound skip gate
     /// elided (HybridBab only; `0` on the pure MILP path).
-    pub lp_skipped: usize,
+    lp_skipped: sum,
     /// Branch-and-bound nodes whose LP relaxation ran while the skip
     /// gate was active (HybridBab only).
-    pub lp_forced: usize,
-    /// Wall-clock time of the MILP solve.
-    pub elapsed: Duration,
-    /// Worst degradation encountered while answering the query:
-    /// [`Degradation::Exact`] on a clean run, worse if the search recovered
-    /// from numeric faults, worker panics or an expired deadline. The
-    /// reported bounds stay sound at every level.
-    pub degradation: Degradation,
+    lp_forced: sum,
 }
 
 impl VerifyStats {
@@ -66,6 +105,29 @@ impl VerifyStats {
             lp_forced: 0,
             elapsed,
             degradation,
+        }
+    }
+
+    /// Wall-clock time in nanoseconds, saturating at `u64::MAX` (the
+    /// width the binary encodings store).
+    pub fn elapsed_nanos(&self) -> u64 {
+        self.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
+    }
+}
+
+impl From<&BabResult> for VerifyStats {
+    fn from(r: &BabResult) -> Self {
+        Self {
+            lp_skipped: r.lp_skipped,
+            lp_forced: r.lp_forced,
+            ..Self::from_parts(
+                r.encoding_stats,
+                r.nodes,
+                r.lp_iterations,
+                r.warm_stats,
+                r.elapsed,
+                r.degradation,
+            )
         }
     }
 }
@@ -352,23 +414,11 @@ impl Verifier {
                 self.checkpoints.as_ref(),
             )?;
             return Ok(MaxResult {
+                stats: VerifyStats::from(&r),
                 status: r.status,
                 upper_bound: r.upper_bound,
                 best_value: r.best_value,
                 witness: r.witness,
-                stats: VerifyStats {
-                    nodes: r.nodes,
-                    lp_iterations: r.lp_iterations,
-                    binaries: r.encoding_stats.binaries,
-                    rows: r.encoding_stats.rows,
-                    warm_solves: r.warm_stats.warm_solves,
-                    cold_solves: r.warm_stats.cold_solves,
-                    pivots_saved: r.warm_stats.pivots_saved,
-                    lp_skipped: r.lp_skipped,
-                    lp_forced: r.lp_forced,
-                    elapsed: r.elapsed,
-                    degradation: r.degradation,
-                },
             });
         }
         let enc = encode(net, spec, self.effective_bound_method())?;
@@ -476,19 +526,7 @@ impl Verifier {
                 self.deadline.clone(),
                 self.checkpoints.as_ref(),
             )?;
-            let stats = VerifyStats {
-                nodes: r.nodes,
-                lp_iterations: r.lp_iterations,
-                binaries: r.encoding_stats.binaries,
-                rows: r.encoding_stats.rows,
-                warm_solves: r.warm_stats.warm_solves,
-                cold_solves: r.warm_stats.cold_solves,
-                pivots_saved: r.warm_stats.pivots_saved,
-                lp_skipped: r.lp_skipped,
-                lp_forced: r.lp_forced,
-                elapsed: r.elapsed,
-                degradation: r.degradation,
-            };
+            let stats = VerifyStats::from(&r);
             let verdict = match r.status {
                 MilpStatus::BoundCutoff => Verdict::Holds {
                     bound: r.upper_bound,
@@ -773,6 +811,47 @@ mod tests {
         let spec = unit_spec(2);
         let obj = LinearObjective::output(5);
         assert!(Verifier::new().maximize(&net, &spec, &obj).is_err());
+    }
+
+    #[test]
+    fn merge_adds_counts_keeps_max_sizes_and_worst_degradation() {
+        let mut m = VerifyStats {
+            nodes: 3,
+            binaries: 5,
+            rows: 9,
+            lp_forced: 1,
+            elapsed: Duration::from_millis(2),
+            degradation: Degradation::ColdFallback,
+            ..VerifyStats::default()
+        };
+        m.merge(&VerifyStats {
+            nodes: 4,
+            binaries: 7,
+            rows: 2,
+            lp_forced: 2,
+            elapsed: Duration::from_millis(3),
+            degradation: Degradation::Exact,
+            ..VerifyStats::default()
+        });
+        assert_eq!((m.nodes, m.binaries, m.rows, m.lp_forced), (7, 7, 9, 3));
+        assert_eq!(m.elapsed, Duration::from_millis(5));
+        assert_eq!(m.degradation, Degradation::ColdFallback);
+        // The names are the bench JSON keys; the order is the wire order.
+        let names: Vec<_> = m.counters().map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "nodes",
+                "lp_iterations",
+                "binaries",
+                "rows",
+                "warm_solves",
+                "cold_solves",
+                "pivots_saved",
+                "lp_skipped",
+                "lp_forced",
+            ]
+        );
     }
 
     #[test]

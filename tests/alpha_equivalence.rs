@@ -109,16 +109,16 @@ fn table2_smoke_verdicts_identical_with_and_without_alpha() {
             "{}: tuned {tv} vs legacy {lv}",
             t.label
         );
-        assert_eq!(t.degradation, l.degradation);
+        assert_eq!(t.stats.degradation, l.stats.degradation);
         // Legacy path never consults the gate.
-        assert_eq!(l.lp_skipped, 0, "{}: gate ticked while disabled", l.label);
+        assert_eq!(l.stats.lp_skipped, 0, "{}: gate ticked while disabled", l.label);
     }
     // The tuned defaults must actually elide LPs somewhere in the smoke
     // set — otherwise the gate is dead code at its shipped settings.
-    let skipped: usize = tuned.rows.iter().map(|r| r.lp_skipped).sum();
+    let skipped: usize = tuned.rows.iter().map(|r| r.stats.lp_skipped).sum();
     assert!(skipped > 0, "lp-skip gate never fired on the smoke config");
     let solves = |rows: &[certnn_bench::table2::Table2Row]| -> usize {
-        rows.iter().map(|r| r.warm_solves + r.cold_solves).sum()
+        rows.iter().map(|r| r.stats.warm_solves + r.stats.cold_solves).sum()
     };
     assert!(
         solves(&tuned.rows) < solves(&legacy.rows),

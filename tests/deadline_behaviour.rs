@@ -90,7 +90,7 @@ fn table2_respects_its_time_limit_and_reports_timed_out() {
     assert_eq!(result.rows.len(), 1);
     let row = &result.rows[0];
     assert_eq!(
-        row.degradation,
+        row.stats.degradation,
         Degradation::TimedOut,
         "{}: a {budget:?} budget on this width must expire",
         row.label
@@ -98,10 +98,10 @@ fn table2_respects_its_time_limit_and_reports_timed_out() {
     // The query was cut off per pivot batch: its wall time stays within
     // 2x the budget rather than running to completion.
     assert!(
-        row.time < 2 * budget,
+        row.stats.elapsed < 2 * budget,
         "{}: verification ran {:?} against a {budget:?} budget",
         row.label,
-        row.time
+        row.stats.elapsed
     );
     // The abandoned search still folds into a finite sound bound, and an
     // expired query must not claim an exact maximum.
@@ -120,7 +120,7 @@ fn fleet_under_a_cancelled_ambient_deadline_degrades_every_member() {
     assert_eq!(result.members.len(), config.fleet_size);
     for m in &result.members {
         assert_eq!(
-            m.degradation,
+            m.stats.degradation,
             Degradation::TimedOut,
             "member {}: cancelled run must be tagged",
             m.seed

@@ -101,7 +101,7 @@ fn fleet_tables_are_identical_at_any_thread_count() {
         assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits());
         assert_eq!(a.verified_max, b.verified_max);
         assert_eq!(a.safe, b.safe);
-        assert_eq!(a.nodes, b.nodes);
+        assert_eq!(a.stats.nodes, b.stats.nodes);
     }
 }
 
@@ -116,8 +116,8 @@ fn table2_rows_are_identical_at_any_thread_count() {
     for (a, b) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(a.label, b.label);
         assert_eq!(a.max_lateral, b.max_lateral);
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.binaries, b.binaries);
+        assert_eq!(a.stats.nodes, b.stats.nodes);
+        assert_eq!(a.stats.binaries, b.stats.binaries);
     }
 }
 

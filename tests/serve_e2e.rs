@@ -5,17 +5,18 @@
 //!
 //! 1. **Bit-identity.** The smoke fleet verified over the wire
 //!    ([`certnn_serve::fleet::run_fleet_over`]) must produce verdicts,
-//!    verified maxima and degradation tags bit-identical to the
+//!    verified maxima and solve records (every counter and the
+//!    degradation tag; only wall time may differ) identical to the
 //!    in-process [`certnn_core::fleet::run_fleet`]. Anything else means
 //!    the service path silently forked the verifier.
 //! 2. **Memoization.** N identical submissions must cost exactly one
 //!    solve: the first is `Fresh`, every later one answers from the
 //!    in-memory job table or the on-disk certificate cache, observable
 //!    through the daemon's `serve.cache_hits` counter (plain stats, the
-//!    obs mirror, and the `STATS` wire frame all agree).
+//!    obs mirror, and the `METRICS` wire frame all agree).
 
 use certnn_core::fleet::{
-    fleet_dataset, member_seed, train_member, FleetConfig,
+    fleet_dataset, member_seed, train_member, FleetConfig, FleetMember,
 };
 use certnn_core::scenario::{lateral_mean_objectives, left_vehicle_spec};
 use certnn_nn::gmm::OutputLayout;
@@ -24,7 +25,9 @@ use certnn_serve::fleet::run_fleet_over;
 use certnn_serve::protocol::{Disposition, JobRequest};
 use certnn_serve::server::{ServeOptions, Server};
 use certnn_verify::bab::resolve_threads;
+use certnn_verify::verifier::VerifyStats;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("certnn-serve-e2e-{tag}-{}", std::process::id()));
@@ -61,12 +64,11 @@ fn wire_fleet_is_bit_identical_to_in_process_fleet() {
             b.verified_max
         );
         assert_eq!(a.safe, b.safe, "safety verdict drifted on seed {}", a.seed);
-        assert_eq!(
-            a.degradation, b.degradation,
-            "degradation tag drifted on seed {}",
-            a.seed
-        );
-        assert_eq!(a.nodes, b.nodes, "node count drifted on seed {}", a.seed);
+        let untimed = |m: &FleetMember| VerifyStats {
+            elapsed: Duration::ZERO,
+            ..m.stats
+        };
+        assert_eq!(untimed(a), untimed(b), "solve record drifted on seed {}", a.seed);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -146,14 +148,14 @@ fn identical_submissions_cost_exactly_one_solve() {
         certnn_obs::counter("serve.cache_hits").get() >= expected_hits,
         "obs serve.cache_hits mirror missed hits recorded by the plain counter"
     );
-    // And the STATS wire frame agrees.
-    let wire_stats = client.stats().expect("stats frame");
+    // And the METRICS wire frame agrees.
+    let wire_stats = client.metrics().expect("metrics frame").counters;
     let get = |name: &str| {
         wire_stats
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("missing {name} in STATS reply"))
+            .unwrap_or_else(|| panic!("missing {name} in METRICS reply"))
     };
     assert_eq!(get("serve.cache_hits"), expected_hits);
     assert_eq!(get("serve.cache_misses"), per_query);

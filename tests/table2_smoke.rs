@@ -14,18 +14,18 @@ fn table2_smoke_produces_paper_shaped_output() {
         // A predictor trained on sanitized data suggests physically
         // plausible lateral velocities even in the worst case.
         assert!(max.abs() < 20.0, "{}: absurd verified max {max}", row.label);
-        assert!(row.binaries > 0, "some neurons must be unstable");
-        assert!(row.time.as_nanos() > 0);
+        assert!(row.stats.binaries > 0, "some neurons must be unstable");
+        assert!(row.stats.elapsed.as_nanos() > 0);
     }
 
     // The wider network encodes with at least as many binaries.
     assert!(
-        result.rows[1].binaries >= result.rows[0].binaries,
+        result.rows[1].stats.binaries >= result.rows[0].stats.binaries,
         "binaries should not shrink with width: {:?}",
         result
             .rows
             .iter()
-            .map(|r| (r.label.clone(), r.binaries))
+            .map(|r| (r.label.clone(), r.stats.binaries))
             .collect::<Vec<_>>()
     );
 

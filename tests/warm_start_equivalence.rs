@@ -123,8 +123,8 @@ fn table2_smoke_is_thread_invariant_and_warm_cold_agree() {
             "{}: 1-thread {va} vs 4-thread {vb}",
             a.label
         );
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.binaries, b.binaries);
+        assert_eq!(a.stats.nodes, b.stats.nodes);
+        assert_eq!(a.stats.binaries, b.stats.binaries);
     }
 
     // Warm vs cold: identical verdicts, values within the gap contract.
@@ -151,10 +151,10 @@ fn table2_smoke_is_thread_invariant_and_warm_cold_agree() {
     }
     // The cold run by construction warm-starts nothing.
     for c in &cold1.rows {
-        assert_eq!(c.warm_solves, 0, "{}: cold run reported warm solves", c.label);
-        assert_eq!(c.pivots_saved, 0);
+        assert_eq!(c.stats.warm_solves, 0, "{}: cold run reported warm solves", c.label);
+        assert_eq!(c.stats.pivots_saved, 0);
     }
     // The warm run actually exercises the warm path on these networks.
-    let total_warm: usize = warm1.rows.iter().map(|r| r.warm_solves).sum();
+    let total_warm: usize = warm1.rows.iter().map(|r| r.stats.warm_solves).sum();
     assert!(total_warm > 0, "warm path never taken in the smoke pipeline");
 }
