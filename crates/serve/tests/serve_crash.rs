@@ -31,8 +31,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// A query heavy enough (several seconds, ~5k branch-and-bound nodes)
 /// that a daemon checkpointing every node is reliably still solving when
-/// killed. The 32-dimensional input box keeps `Engine::Auto` on the
-/// hybrid branch-and-bound engine — the one that checkpoints.
+/// killed. The 32-dimensional input box keeps `Engine::Auto` on neuron
+/// branching, whose many small nodes give the checkpoint cadence
+/// something to snapshot; a root hand-off is one long step.
 type Query = (Network, InputSpec, LinearObjective, VerifierOptions);
 
 fn slow_query() -> Query {

@@ -49,9 +49,12 @@
 //! node counts and tie-breaks among equal optima) may differ run to run,
 //! but the returned optimum obeys the same `abs_gap` contract.
 //!
-//! The engine accepts box-only input specifications; specs with linear
-//! scenario constraints fall back to the pure MILP path in
-//! [`crate::verifier::Verifier`].
+//! This is the only search engine. The paper's pure big-M MILP is its
+//! `milp_threshold = usize::MAX` configuration: the root node goes
+//! straight to the exact sub-MILP over the whole encoding. Linear scenario
+//! constraints live in the encoding, so node LPs and sub-MILPs respect
+//! them; the symbolic bounds see only the box, which keeps them sound, and
+//! a candidate incumbent must satisfy every constraint.
 
 use crate::bounds::{interval_objective_ceiling, PhaseAnalyzer, PhasedAnalysis};
 use crate::checkpoint::{
@@ -60,7 +63,7 @@ use crate::checkpoint::{
 use crate::encoder::{encode, BoundMethod, Encoding};
 use crate::property::{InputSpec, LinearObjective};
 use crate::VerifyError;
-use certnn_linalg::{Interval, Vector};
+use certnn_linalg::Vector;
 use certnn_lp::{Deadline, Degradation, LpError, LpStatus, Simplex, VarId, WarmStart};
 use certnn_milp::{
     BranchAndBound, MilpError, MilpModel, MilpOptions, MilpStats, MilpStatus, WarmTracker,
@@ -139,14 +142,6 @@ const MAX_NODE_RETRIES: usize = 2;
 /// bit-for-bit.
 pub const DEFAULT_ALPHA_ITERS: usize = 1;
 
-/// Default [`BabOptions::lp_skip_margin`]: `0.0` disables the
-/// near-prune leg of the skip gate, leaving only the sub-MILP elision.
-/// Measurement on the Table II widths showed that any finite margin
-/// starves deep subtrees of the LP tightening their descendants inherit
-/// (node bounds min-chain from parent to child) and explodes the node
-/// count; see DESIGN.md.
-pub const DEFAULT_LP_SKIP_MARGIN: f64 = 0.0;
-
 /// Resolves a thread-count knob: `0` means "one worker per available
 /// core", any other value is used as-is.
 pub fn resolve_threads(threads: usize) -> usize {
@@ -167,17 +162,13 @@ pub struct BabOptions {
     /// Absolute gap at which the search stops as optimal.
     pub abs_gap: f64,
     /// Hand a node to the exact sub-MILP once at most this many neurons
-    /// remain unstable.
+    /// remain unstable. `usize::MAX` hands the root over: the paper's pure
+    /// big-M MILP.
     pub milp_threshold: usize,
     /// Stop as soon as an incumbent reaches this value.
     pub target_objective: Option<f64>,
     /// Stop as soon as the global upper bound drops below this value.
     pub bound_cutoff: Option<f64>,
-    /// Solve the big-M LP relaxation (with node-tightened variable
-    /// bounds and phase fixings) at every node and take the tighter of
-    /// the symbolic and LP bounds. Slower per node, far stronger pruning
-    /// on wide input boxes.
-    pub lp_bounding: bool,
     /// Search workers draining the shared frontier. `1` (the default)
     /// reproduces the serial best-first visit order exactly; `0` means
     /// one worker per available core (see [`resolve_threads`]).
@@ -191,18 +182,16 @@ pub struct BabOptions {
     /// and reproduces the fixed-slope heuristic bit-for-bit; the root
     /// encoding then also falls back to [`BoundMethod::Symbolic`].
     pub alpha_iters: usize,
-    /// Elide the standalone LP relaxation where it is provably redundant
-    /// or unlikely to prune: at nodes handed to the exact sub-MILP
-    /// (whose root solve is that same relaxation) and — when
-    /// [`BabOptions::lp_skip_margin`] is positive — at nodes whose
-    /// α-tightened bound already sits within the margin of the prune
-    /// level. Metered as `bab.lp_skipped` vs `bab.lp_forced`. Sound: the
-    /// symbolic bound alone is a valid node bound; the LP only ever
-    /// tightens it. Disable to reproduce LP-at-every-node behaviour.
+    /// Elide the standalone LP relaxation where it is redundant: at nodes
+    /// handed to the exact sub-MILP (whose root solve is that same
+    /// relaxation) and at nodes whose α-tightened bound already sits at
+    /// or below [`BabOptions::bound_cutoff`]. Everywhere else the big-M
+    /// LP relaxation (node-tightened variable bounds, phase fixings)
+    /// runs and the tighter of the symbolic and LP bounds is kept.
+    /// Metered as `bab.lp_skipped` vs `bab.lp_forced`.
+    /// Sound: the symbolic bound alone is a valid node bound; the LP only
+    /// ever tightens it. Disable to reproduce LP-at-every-node behaviour.
     pub lp_skip: bool,
-    /// Margin of the near-prune leg of the LP-skip gate, in objective
-    /// units; `0.0` (the default) disables that leg.
-    pub lp_skip_margin: f64,
 }
 
 impl Default for BabOptions {
@@ -214,12 +203,10 @@ impl Default for BabOptions {
             milp_threshold: 8,
             target_objective: None,
             bound_cutoff: None,
-            lp_bounding: true,
             threads: 1,
             warm_start: true,
             alpha_iters: DEFAULT_ALPHA_ITERS,
             lp_skip: true,
-            lp_skip_margin: DEFAULT_LP_SKIP_MARGIN,
         }
     }
 }
@@ -323,7 +310,7 @@ impl Ord for Node {
 /// Read-only context shared by every search worker.
 struct SearchCtx<'a> {
     net: &'a Network,
-    input_box: &'a [Interval],
+    spec: &'a InputSpec,
     objective: &'a LinearObjective,
     opts: &'a BabOptions,
     enc: &'a Encoding,
@@ -560,8 +547,13 @@ impl SearchState {
     }
 
     /// Evaluates `x` through the network and installs it as incumbent if
-    /// it improves the best value. Returns the achieved objective.
+    /// it satisfies the spec's linear constraints and improves the best
+    /// value. Returns the achieved objective (`NEG_INFINITY` for a point
+    /// outside the constraints).
     fn try_incumbent(&self, ctx: &SearchCtx, x: &Vector) -> f64 {
+        if !satisfies_constraints(ctx.spec, x) {
+            return f64::NEG_INFINITY;
+        }
         let v = match ctx.net.forward(x) {
             Ok(out) => ctx.objective.eval(&out),
             Err(_) => return f64::NEG_INFINITY,
@@ -584,17 +576,19 @@ impl SearchState {
 
     /// Incumbent value for seeding a sub-MILP's
     /// [`MilpOptions::initial_bound`], re-verified before use: the stored
-    /// witness must lie inside the input box and a fresh forward pass must
-    /// reproduce the stored value. An incumbent that fails either check is
-    /// never handed down as a feasible-point claim — the sub-MILP then
-    /// simply runs unseeded, which is always sound.
+    /// witness must lie inside the input box, satisfy the constraints, and
+    /// a fresh forward pass must reproduce the stored value. An incumbent
+    /// that fails any check is never handed down as a feasible-point
+    /// claim — the sub-MILP then simply runs unseeded, which is always
+    /// sound.
     fn verified_seed(&self, ctx: &SearchCtx) -> Option<f64> {
         let inc = self.incumbent.lock().unwrap_or_else(|e| e.into_inner());
         let (x, v) = inc.as_ref()?;
-        if x.len() != ctx.input_box.len() {
+        let input_box = ctx.spec.bounds();
+        if x.len() != input_box.len() || !satisfies_constraints(ctx.spec, x) {
             return None;
         }
-        for (xi, iv) in x.iter().zip(ctx.input_box) {
+        for (xi, iv) in x.iter().zip(input_box) {
             if *xi < iv.lo() - 1e-9 || *xi > iv.hi() + 1e-9 {
                 return None;
             }
@@ -1037,14 +1031,16 @@ fn rebuild_frontier(snap: &Snapshot) -> Vec<Node> {
         .collect()
 }
 
-/// Maximises `objective` over a **box-only** specification by hybrid
-/// neuron branch-and-bound; see the module docs for the parallel search
-/// architecture.
+/// Maximises `objective` over `spec` (a box, optionally intersected with
+/// linear constraints) by hybrid neuron branch-and-bound; see the module
+/// docs for the parallel search architecture. An empty spec yields
+/// [`MilpStatus::Infeasible`] with `upper_bound = −∞`.
 ///
 /// # Errors
 ///
-/// Returns [`VerifyError::SpecMismatch`] if the spec carries linear
-/// constraints (use the MILP path) or does not match the network, and the
+/// Returns [`VerifyError::SpecMismatch`] if the spec does not match the
+/// network, [`VerifyError::CounterexampleMismatch`] if a sub-MILP point
+/// disagrees with the network's forward pass (an encoder bug), and the
 /// usual structural errors otherwise.
 pub fn bab_maximize(
     net: &Network,
@@ -1052,34 +1048,23 @@ pub fn bab_maximize(
     objective: &LinearObjective,
     opts: &BabOptions,
 ) -> Result<BabResult, VerifyError> {
-    bab_maximize_under(net, spec, objective, opts, Deadline::none())
+    bab_maximize_ckpt(net, spec, objective, opts, Deadline::none(), None)
 }
 
 /// [`bab_maximize`] under an ambient [`Deadline`]/cancellation token from
-/// the caller (fleet runner, pipeline). The effective deadline is the
-/// ambient one tightened by [`BabOptions::time_limit`]; it is polled
-/// between nodes and inside every LP and sub-MILP solve, and expiry yields
-/// a sound bound tagged [`Degradation::TimedOut`].
+/// the caller (fleet runner, pipeline) and with crash-safe checkpointing.
 ///
-/// # Errors
+/// The effective deadline is the ambient one tightened by
+/// [`BabOptions::time_limit`]; it is polled between nodes and inside every
+/// LP and sub-MILP solve, and expiry yields a sound bound tagged
+/// [`Degradation::TimedOut`].
 ///
-/// Same contract as [`bab_maximize`].
-pub fn bab_maximize_under(
-    net: &Network,
-    spec: &InputSpec,
-    objective: &LinearObjective,
-    opts: &BabOptions,
-    deadline: Deadline,
-) -> Result<BabResult, VerifyError> {
-    bab_maximize_ckpt(net, spec, objective, opts, deadline, None)
-}
-
-/// [`bab_maximize_under`] with crash-safe checkpointing: under a
-/// [`CheckpointPolicy`] the search snapshots its frontier at the policy's
-/// cadence, flushes a final snapshot when it stops early (time/node limit,
-/// aborted pool) so the run returns a *resumable* handle, deletes the
-/// snapshot on a completed answer, and — when the policy asks to resume —
-/// rebuilds the frontier from a vetted snapshot of the same query.
+/// Under a [`CheckpointPolicy`] the search snapshots its frontier at the
+/// policy's cadence, flushes a final snapshot when it stops early
+/// (time/node limit, aborted pool) so the run returns a *resumable*
+/// handle, deletes the snapshot on a completed answer, and — when the
+/// policy asks to resume — rebuilds the frontier from a vetted snapshot of
+/// the same query.
 ///
 /// Resume is never trusted blindly: checksums, the query content-address
 /// and every structural invariant are verified, warm factorizations are
@@ -1099,12 +1084,6 @@ pub fn bab_maximize_ckpt(
     deadline: Deadline,
     ckpt: Option<&CheckpointPolicy>,
 ) -> Result<BabResult, VerifyError> {
-    if !spec.constraints().is_empty() {
-        return Err(VerifyError::SpecMismatch {
-            network_inputs: net.inputs(),
-            spec_inputs: usize::MAX,
-        });
-    }
     objective.check_against(net)?;
     let start = Instant::now();
     let run_span = certnn_obs::span("bab.run");
@@ -1161,7 +1140,7 @@ pub fn bab_maximize_ckpt(
     let threads_used = resolve_threads(opts.threads);
     let ctx = SearchCtx {
         net,
-        input_box,
+        spec,
         objective,
         opts,
         enc: &enc,
@@ -1176,10 +1155,19 @@ pub fn bab_maximize_ckpt(
     };
 
     let root_phases = vec![None; total_relu];
+    // Tuned α slopes tighten the node bounds that prune and order neuron
+    // branching. A root hand-off (the pure big-M MILP) gives the whole
+    // query to its sub-MILP, so it skips the tuning; its encoding keeps
+    // the α presolve all the same.
+    let search_alpha_iters = if opts.milp_threshold == usize::MAX {
+        0
+    } else {
+        opts.alpha_iters
+    };
     let (root, root_alpha) = PhaseAnalyzer::new(net, input_box)?.analyze_tuned(
         &root_phases,
         objective,
-        opts.alpha_iters,
+        search_alpha_iters,
         None,
     )?;
     let root_bound = root.objective_upper;
@@ -1207,12 +1195,7 @@ pub fn bab_maximize_ckpt(
             h.write_f64(opts.abs_gap);
             h.write_u64(opts.milp_threshold as u64);
             h.write_u64(opts.alpha_iters as u64);
-            h.write(&[
-                u8::from(opts.lp_bounding),
-                u8::from(opts.warm_start),
-                u8::from(opts.lp_skip),
-            ]);
-            h.write_f64(opts.lp_skip_margin);
+            h.write(&[u8::from(opts.warm_start), u8::from(opts.lp_skip)]);
             h.write_f64(opts.target_objective.unwrap_or(f64::NAN));
             h.write_f64(opts.bound_cutoff.unwrap_or(f64::NAN));
             h.finish()
@@ -1376,9 +1359,8 @@ pub fn bab_maximize_ckpt(
 
     let mut upper_bound = if status == MilpStatus::Optimal {
         // Exhausted or gap-closed: the incumbent is optimal up to
-        // `abs_gap` (root bound is the sound fallback if no real input
-        // was ever evaluated).
-        best.unwrap_or(root_bound)
+        // `abs_gap`. Without one, every node was proven empty.
+        best.unwrap_or(f64::NEG_INFINITY)
     } else {
         // Early stop: the proven bound is the max over everything not
         // fully explored — abandoned subtrees, the remaining frontier
@@ -1403,6 +1385,10 @@ pub fn bab_maximize_ckpt(
             status = MilpStatus::Aborted;
         }
         upper_bound = upper_bound.max(frontier.dropped);
+    }
+    // A closed search that never met a point of the spec proved it empty.
+    if status == MilpStatus::Optimal && best.is_none() {
+        status = MilpStatus::Infeasible;
     }
     // Min of two sound upper bounds is sound: a degraded answer must
     // never be looser than the interval fallback it degrades towards.
@@ -1508,7 +1494,7 @@ fn worker_loop(
     wid: usize,
 ) -> Result<WorkerCounters, VerifyError> {
     let _worker_span = certnn_obs::span_child_of("bab.worker", ctx.obs_run_span);
-    let mut analyzer = PhaseAnalyzer::new(ctx.net, ctx.input_box)?;
+    let mut analyzer = PhaseAnalyzer::new(ctx.net, ctx.spec.bounds())?;
     let mut counters = WorkerCounters::default();
     // Per-worker LP-bounding basis cache: workers never share bases, so
     // the parallel engine stays lock-free.
@@ -1530,7 +1516,7 @@ fn worker_loop(
             Err(_) => {
                 state.panic_complete(wid, node);
                 // The analyzer may have been left mid-update; rebuild.
-                analyzer = PhaseAnalyzer::new(ctx.net, ctx.input_box)?;
+                analyzer = PhaseAnalyzer::new(ctx.net, ctx.spec.bounds())?;
             }
         }
     }
@@ -1604,20 +1590,18 @@ fn process_node(
     //   standalone relaxation — the sub-MILP's root solve *is* that
     //   relaxation (same model, binaries pinned), and the cross-thread
     //   incumbent seed reproduces the prune-before-branch check.
-    // * A node whose α-tightened bound already sits within
-    //   `lp_skip_margin` of the prune level branches directly: its
-    //   children's (cheap) symbolic analyses usually finish the kill.
-    //   `0.0` disables this leg — measurement on the Table II widths
-    //   shows per-node LP bounds compound down the tree (children
+    // * A node whose α-tightened bound already sits at or below the
+    //   bound cutoff branches directly: its children's (cheap) symbolic
+    //   analyses usually finish the kill. Skipping any earlier — within
+    //   some margin above that level — measured worse on the Table II
+    //   widths: per-node LP bounds compound down the tree (children
     //   inherit them via `min`), so starving deep subtrees of LP
     //   tightening explodes the node count; see DESIGN.md.
     //
     // The LP always runs while no finite prune level exists: the
     // relaxation is then the main source of bound tightening and
     // incumbents.
-    let run_lp = if !opts.lp_bounding {
-        false
-    } else if !opts.lp_skip {
+    let run_lp = if !opts.lp_skip {
         true
     } else if analysis.unstable.len() <= opts.milp_threshold {
         counters.lp_skipped += 1;
@@ -1626,7 +1610,7 @@ fn process_node(
         let pivot = state
             .prune_level(opts.abs_gap)
             .max(opts.bound_cutoff.unwrap_or(f64::NEG_INFINITY));
-        let near = pivot.is_finite() && node_bound - pivot <= opts.lp_skip_margin;
+        let near = pivot.is_finite() && node_bound <= pivot;
         if near {
             counters.lp_skipped += 1;
         } else {
@@ -1732,17 +1716,26 @@ fn process_node(
         }
         // Seed the sub-MILP with the cross-thread incumbent: its pruning
         // then benefits from every other worker's discoveries. The seed is
-        // re-verified first (witness in box, forward pass reproduces the
-        // value) so an unachievable number can never be handed down as a
-        // feasible-point claim; `initial_bound` is pruning-only either way.
+        // re-verified first (witness in the spec, forward pass reproduces
+        // the value) so an unachievable number can never be handed down as
+        // a feasible-point claim; `initial_bound` is pruning-only either
+        // way. The query's gap and early stops carry over, shifted into
+        // the MILP's constant-free objective. The cutoff only while the
+        // node can still branch: a cutoff stop leaves the node open, and
+        // an open node with nothing to branch on would end the search.
+        let shift = |v: f64| v - ctx.objective.constant;
         let milp_opts = MilpOptions {
             time_limit: opts.time_limit.map(|l| {
                 l.saturating_sub(ctx.start.elapsed())
                     .max(Duration::from_millis(100))
             }),
-            initial_bound: state
-                .verified_seed(ctx)
-                .map(|v| v - ctx.objective.constant),
+            abs_gap: opts.abs_gap,
+            target_objective: opts.target_objective.map(shift),
+            bound_cutoff: opts
+                .bound_cutoff
+                .filter(|_| !analysis.unstable.is_empty())
+                .map(shift),
+            initial_bound: state.verified_seed(ctx).map(shift),
             warm_start: opts.warm_start,
             ..MilpOptions::default()
         };
@@ -1775,24 +1768,17 @@ fn process_node(
             counters.submilp_pivots += sol.lp_iterations;
             counters.milp_stats.merge(sol.stats);
             counters.degradation = counters.degradation.merge(sol.degradation);
-            match sol.status {
-                MilpStatus::Optimal | MilpStatus::Infeasible => {
-                    if let (Some(x), Some(_)) = (&sol.x, sol.objective) {
-                        let input: Vector =
-                            ctx.enc.input_vars.iter().map(|v| x[v.index()]).collect();
-                        let val = state.try_incumbent(ctx, &input);
-                        if let Some(target) = opts.target_objective {
-                            if val >= target {
-                                return Ok(NodeOutcome::halt(
-                                    MilpStatus::TargetReached,
-                                    node_bound,
-                                ));
-                            }
-                        }
+            if let (Some(x), Some(claimed)) = (&sol.x, sol.objective) {
+                let val = harvest_milp_point(ctx, state, x, claimed)?;
+                if let Some(target) = opts.target_objective {
+                    if val >= target {
+                        return Ok(NodeOutcome::halt(MilpStatus::TargetReached, node_bound));
                     }
-                    // Node fully resolved either way.
-                    return Ok(NodeOutcome::default());
                 }
+            }
+            match sol.status {
+                // Node fully resolved either way.
+                MilpStatus::Optimal | MilpStatus::Infeasible => return Ok(NodeOutcome::default()),
                 MilpStatus::Aborted => {
                     // The sub-MILP degraded to a folded bound; keep the
                     // node's own (sound) bound and drop the node rather
@@ -1802,9 +1788,13 @@ fn process_node(
                     }
                 }
                 _ => {
-                    // Sub-MILP hit a limit: fall through to phase branching
-                    // if possible, else give up on the node but keep its
+                    // Sub-MILP stopped early (deadline, cutoff): its bound
+                    // still holds over the node, so fold it in and branch
+                    // on. Never resolve the node outright — a cutoff stop
+                    // says nothing about the node's maximum. With nothing
+                    // to branch on, give up on the node but keep its
                     // (sound) bound via the abandoned fold.
+                    node_bound = node_bound.min(sol.best_bound + ctx.objective.constant);
                     if analysis.unstable.is_empty() {
                         return Ok(NodeOutcome::halt(MilpStatus::TimeLimit, node_bound));
                     }
@@ -1920,6 +1910,35 @@ fn tighten_node_bounds(
         }
     }
     Some(nb)
+}
+
+/// `true` if `x` satisfies every linear constraint of `spec`, within the
+/// tolerance witnesses are checked at. Always `true` for a box.
+fn satisfies_constraints(spec: &InputSpec, x: &Vector) -> bool {
+    spec.constraints().iter().all(|c| c.satisfied_by(x, 1e-6))
+}
+
+/// Offers the input of a sub-MILP's integral point `x` as an incumbent,
+/// with [`SearchState::try_incumbent`]'s return value. The encoding is exact, so the
+/// network must reproduce the MILP's `claimed` (constant-free) objective
+/// there; a disagreement is an encoder bug, reported as
+/// [`VerifyError::CounterexampleMismatch`] instead of a result.
+fn harvest_milp_point(
+    ctx: &SearchCtx,
+    state: &SearchState,
+    x: &[f64],
+    claimed: f64,
+) -> Result<f64, VerifyError> {
+    let input: Vector = ctx.enc.input_vars.iter().map(|v| x[v.index()]).collect();
+    let recomputed = ctx.objective.eval(&ctx.net.forward(&input)?);
+    let claimed = claimed + ctx.objective.constant;
+    if (recomputed - claimed).abs() > 1e-4 {
+        return Err(VerifyError::CounterexampleMismatch {
+            claimed,
+            recomputed,
+        });
+    }
+    Ok(state.try_incumbent(ctx, &input))
 }
 
 /// Phase decisions at a node: explicitly forced by the node plus those
@@ -2120,17 +2139,93 @@ mod tests {
         assert!(r.best_value.unwrap() >= exact - 0.05);
     }
 
+    /// The paper's big-M encoding solved directly by certnn-milp: the
+    /// forward-pass value at the optimal input, `None` for an empty spec.
+    fn big_m_max(net: &Network, spec: &InputSpec, obj: &LinearObjective) -> Option<f64> {
+        let enc = encode(net, spec, BoundMethod::Symbolic).unwrap();
+        let mut milp = enc.milp.clone();
+        let terms: Vec<_> = obj
+            .terms
+            .iter()
+            .map(|&(o, c)| (enc.output_vars[o], c))
+            .collect();
+        milp.set_objective(&terms);
+        let x = BranchAndBound::new().solve(&milp).unwrap().x?;
+        let input: Vector = enc.input_vars.iter().map(|v| x[v.index()]).collect();
+        Some(obj.eval(&net.forward(&input).unwrap()))
+    }
+
     #[test]
-    fn constraints_are_rejected() {
+    fn linear_constraints_are_searched_exactly() {
         use crate::property::{LinearConstraint, Relation};
-        let net = Network::relu_mlp(2, &[4], 1, 0).unwrap();
+        for (seed, relation, rhs) in [
+            (0u64, Relation::Le, 0.5),
+            (4, Relation::Ge, 0.3),
+            (9, Relation::Le, -0.2),
+        ] {
+            let net = Network::relu_mlp(3, &[8, 8], 1, seed).unwrap();
+            let spec = unit_spec(3).constrain(LinearConstraint {
+                terms: vec![(0, 1.0), (1, -0.5), (2, 0.25)],
+                relation,
+                rhs,
+            });
+            let obj = LinearObjective::output(0);
+            let exact = big_m_max(&net, &spec, &obj).unwrap();
+            // Branching down to the leaves, the default hand-off, and the
+            // root hand-off (the pure big-M MILP).
+            for milp_threshold in [0, BabOptions::default().milp_threshold, usize::MAX] {
+                let opts = BabOptions {
+                    milp_threshold,
+                    ..BabOptions::default()
+                };
+                let r = bab_maximize(&net, &spec, &obj, &opts).unwrap();
+                assert_eq!(r.status, MilpStatus::Optimal);
+                let got = r.best_value.unwrap();
+                assert!(
+                    (got - exact).abs() <= opts.abs_gap,
+                    "seed {seed}, threshold {milp_threshold}: bab {got} vs big-M {exact}"
+                );
+                let w = r.witness.unwrap();
+                assert!(spec.contains(&w, 1e-6), "witness {w:?} leaves the spec");
+                assert!((net.forward(&w).unwrap()[0] - got).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_spec_is_infeasible_and_holds_vacuously() {
+        use crate::property::{LinearConstraint, Relation};
+        use crate::verifier::{Engine, Verdict, Verifier, VerifierOptions};
+        let net = Network::relu_mlp(2, &[8, 8], 1, 0).unwrap();
+        // x0 + x1 ≥ 3 has no point in the unit box.
         let spec = unit_spec(2).constrain(LinearConstraint {
-            terms: vec![(0, 1.0)],
-            relation: Relation::Le,
-            rhs: 0.5,
+            terms: vec![(0, 1.0), (1, 1.0)],
+            relation: Relation::Ge,
+            rhs: 3.0,
         });
         let obj = LinearObjective::output(0);
-        assert!(bab_maximize(&net, &spec, &obj, &BabOptions::default()).is_err());
+        assert_eq!(big_m_max(&net, &spec, &obj), None);
+        let r = bab_maximize(&net, &spec, &obj, &BabOptions::default()).unwrap();
+        assert_eq!(r.status, MilpStatus::Infeasible);
+        assert_eq!(r.upper_bound, f64::NEG_INFINITY);
+        assert!(r.witness.is_none() && r.best_value.is_none());
+        for engine in [Engine::Auto, Engine::HybridBab, Engine::Milp] {
+            let v = Verifier::with_options(VerifierOptions {
+                engine,
+                ..VerifierOptions::default()
+            });
+            let m = v.maximize(&net, &spec, &obj).unwrap();
+            assert_eq!(m.status, MilpStatus::Infeasible, "{engine:?}");
+            assert_eq!(m.upper_bound, f64::NEG_INFINITY, "{engine:?}");
+            let (verdict, _) = v.prove_below(&net, &spec, &obj, 0.0).unwrap();
+            assert_eq!(
+                verdict,
+                Verdict::Holds {
+                    bound: f64::NEG_INFINITY
+                },
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]

@@ -408,6 +408,27 @@ mod tests {
     }
 
     #[test]
+    fn interval_and_symbolic_presolve_agree_on_the_optimum() {
+        let net = Network::relu_mlp(3, &[6, 6], 1, 9).unwrap();
+        let spec = InputSpec::from_box(vec![Interval::new(-1.0, 1.0); 3]).unwrap();
+        let solve = |method| {
+            let enc = encode(&net, &spec, method).unwrap();
+            let mut m = enc.milp.clone();
+            m.set_objective(&[(enc.output_vars[0], 1.0)]);
+            BranchAndBound::new().solve(&m).unwrap()
+        };
+        let a = solve(BoundMethod::Interval);
+        let b = solve(BoundMethod::Symbolic);
+        assert!(a.status == MilpStatus::Optimal && b.status == MilpStatus::Optimal);
+        assert!(
+            (a.objective.unwrap() - b.objective.unwrap()).abs() < 1e-5,
+            "interval {:?} vs symbolic {:?}",
+            a.objective,
+            b.objective
+        );
+    }
+
+    #[test]
     fn feasible_milp_points_decode_to_real_forward_passes() {
         // Solve for the max, then replay the witness through the network:
         // the encoded output variables must equal the real outputs.

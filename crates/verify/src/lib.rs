@@ -19,20 +19,21 @@
 //! 2. [`encoder`] — the big-M MILP encoding over a [`property::InputSpec`]
 //!    (box + linear scenario constraints such as *a vehicle is abreast on
 //!    the left*).
-//! 3. [`bab`] — the hybrid neuron branch-and-bound: gradient-guided phase
-//!    branching, symbolic + LP bounding per node, genuine incumbents from
-//!    every node's bounding corner, and an exact sub-MILP once few
-//!    neurons remain unstable. The search is work-sharing parallel
-//!    ([`bab::BabOptions::threads`]); any thread count returns the same
-//!    verdict within the `abs_gap` contract.
+//! 3. [`bab`] — the one search engine, a hybrid neuron branch-and-bound:
+//!    gradient-guided phase branching, symbolic + LP bounding per node,
+//!    genuine incumbents from every node's bounding corner, and an exact
+//!    sub-MILP once few neurons remain unstable. The search is
+//!    work-sharing parallel ([`bab::BabOptions::threads`]); any thread
+//!    count returns the same verdict within the `abs_gap` contract.
 //! 4. [`verifier`] — the two query forms of Table II behind one facade:
 //!    [`verifier::Verifier::maximize`] / [`verifier::Verifier::minimize`]
 //!    compute exact extrema of linear output functionals (rows 1–6), and
 //!    [`verifier::Verifier::prove_below`] decides a bound with early
-//!    termination in both directions (last row). The engine —
-//!    [`verifier::Engine::Milp`] (the paper's method) or
-//!    [`verifier::Engine::HybridBab`] — is selected automatically per
-//!    query.
+//!    termination in both directions (last row). The
+//!    [`verifier::Engine`] picks, per query, where [`bab`] hands nodes to
+//!    the sub-MILP: at the root ([`verifier::Engine::Milp`], the paper's
+//!    method) or once few neurons remain unstable
+//!    ([`verifier::Engine::HybridBab`]).
 //! 5. [`attack`] — cheap gradient falsification to run *before* complete
 //!    verification; [`robustness`] — local robustness and the
 //!    maximum-resilience search of the cited ATVA 2017 methodology;

@@ -7,11 +7,11 @@
 use certnn_linalg::Interval;
 use certnn_lp::Deadline;
 use certnn_nn::network::Network;
-use certnn_verify::bab::{bab_maximize_ckpt, bab_maximize_under, BabOptions, BabResult};
+use certnn_verify::bab::{bab_maximize_ckpt, BabOptions, BabResult};
 use certnn_verify::checkpoint::{
     decode_snapshot, encode_snapshot, CheckpointPolicy, DEFAULT_EVERY,
 };
-use certnn_verify::property::{InputSpec, LinearObjective};
+use certnn_verify::property::{InputSpec, LinearConstraint, LinearObjective, Relation};
 use certnn_verify::Degradation;
 use std::path::{Path, PathBuf};
 
@@ -54,18 +54,24 @@ fn solve(
     opts: &BabOptions,
     ckpt: Option<&CheckpointPolicy>,
 ) -> BabResult {
-    let spec = unit_spec(net.inputs());
+    solve_over(net, &unit_spec(net.inputs()), opts, ckpt)
+}
+
+fn solve_over(
+    net: &Network,
+    spec: &InputSpec,
+    opts: &BabOptions,
+    ckpt: Option<&CheckpointPolicy>,
+) -> BabResult {
     let obj = LinearObjective::output(0);
-    bab_maximize_ckpt(net, &spec, &obj, opts, Deadline::none(), ckpt).unwrap()
+    bab_maximize_ckpt(net, spec, &obj, opts, Deadline::none(), ckpt).unwrap()
 }
 
 #[test]
 fn interrupted_and_resumed_run_matches_uninterrupted_exactly() {
     let net = Network::relu_mlp(4, &[10, 10], 1, 3).unwrap();
     let opts = BabOptions::default();
-    let spec = unit_spec(4);
-    let obj = LinearObjective::output(0);
-    let full = bab_maximize_under(&net, &spec, &obj, &opts, Deadline::none()).unwrap();
+    let full = solve(&net, &opts, None);
     let full_value = full.best_value.unwrap();
     assert!(full.nodes >= 9, "test net too easy ({} nodes)", full.nodes);
 
@@ -109,6 +115,43 @@ fn interrupted_and_resumed_run_matches_uninterrupted_exactly() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn interrupted_constrained_query_resumes_to_the_uninterrupted_answer() {
+    let net = Network::relu_mlp(4, &[10, 10], 1, 3).unwrap();
+    let spec = unit_spec(4).constrain(LinearConstraint {
+        terms: vec![(0, 1.0), (1, 1.0), (3, -0.5)],
+        relation: Relation::Le,
+        rhs: 0.25,
+    });
+    let opts = BabOptions::default();
+    let full = solve_over(&net, &spec, &opts, None);
+    assert_eq!(full.status, certnn_milp::MilpStatus::Optimal);
+    assert!(full.nodes >= 4, "test query too easy ({} nodes)", full.nodes);
+    assert!(spec.contains(full.witness.as_ref().unwrap(), 1e-6));
+
+    let dir = scratch_dir("constrained");
+    let pol = policy(&dir);
+    let limited = BabOptions {
+        node_limit: Some(full.nodes / 2),
+        ..opts
+    };
+    let first = solve_over(&net, &spec, &limited, Some(&pol));
+    assert_eq!(first.status, certnn_milp::MilpStatus::NodeLimit);
+    assert_eq!(ckpt_files(&dir).len(), 1);
+
+    let second = solve_over(&net, &spec, &opts, Some(&pol));
+    assert_eq!(second.status, full.status);
+    assert_eq!(
+        second.best_value.unwrap().to_bits(),
+        full.best_value.unwrap().to_bits()
+    );
+    assert_eq!(second.upper_bound.to_bits(), full.upper_bound.to_bits());
+    assert_eq!(second.nodes, full.nodes);
+    assert_eq!(second.degradation, Degradation::Exact);
+    assert!(ckpt_files(&dir).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

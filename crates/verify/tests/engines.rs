@@ -7,7 +7,7 @@ use certnn_linalg::{Interval, Vector};
 use certnn_nn::network::Network;
 use certnn_verify::attack::Falsifier;
 use certnn_verify::property::{InputSpec, LinearObjective};
-use certnn_verify::verifier::{Engine, Verifier, VerifierOptions};
+use certnn_verify::verifier::{Engine, Verdict, Verifier, VerifierOptions};
 use proptest::prelude::*;
 
 fn engine_verifier(engine: Engine) -> Verifier {
@@ -72,7 +72,8 @@ proptest! {
             .unwrap();
         prop_assume!(margin.abs() > 0.05); // avoid the knife edge
         let threshold = exact + margin;
-        for engine in [Engine::HybridBab, Engine::Milp] {
+        let abs_gap = VerifierOptions::default().abs_gap;
+        for engine in [Engine::HybridBab, Engine::Milp, Engine::Auto] {
             let (verdict, _) = engine_verifier(engine)
                 .prove_below(&net, &spec, &obj, threshold)
                 .unwrap();
@@ -80,6 +81,13 @@ proptest! {
                 prop_assert!(verdict.holds(), "{engine:?} refuted a true bound");
             } else {
                 prop_assert!(!verdict.holds(), "{engine:?} proved a false bound");
+            }
+            // A proven bound never sits below the maximum it bounds.
+            if let Verdict::Holds { bound } = verdict {
+                prop_assert!(
+                    bound >= exact - abs_gap,
+                    "{engine:?}: Holds bound {bound} below the maximum {exact}"
+                );
             }
         }
     }

@@ -3,9 +3,10 @@
 use certnn_linalg::{Interval, Vector};
 use certnn_nn::network::Network;
 use certnn_verify::bounds::{interval_bounds, symbolic_bounds};
-use certnn_verify::encoder::BoundMethod;
+use certnn_milp::{BranchAndBound, MilpStatus};
+use certnn_verify::encoder::{encode, BoundMethod};
 use certnn_verify::property::{InputSpec, LinearObjective};
-use certnn_verify::verifier::{Verifier, VerifierOptions};
+use certnn_verify::verifier::Verifier;
 use proptest::prelude::*;
 
 fn arch() -> impl Strategy<Value = (usize, Vec<usize>, usize, u64)> {
@@ -73,15 +74,7 @@ proptest! {
         let net = Network::relu_mlp(inputs, &hidden, outputs, seed).unwrap();
         let spec = InputSpec::from_box(ib.clone()).unwrap();
         let obj = LinearObjective::output(0);
-        let exact = |method| {
-            Verifier::with_options(VerifierOptions {
-                bound_method: method,
-                ..VerifierOptions::default()
-            })
-            .maximize(&net, &spec, &obj)
-            .unwrap()
-        };
-        let sym = exact(BoundMethod::Symbolic);
+        let sym = Verifier::new().maximize(&net, &spec, &obj).unwrap();
         prop_assert!(sym.is_exact());
         let max = sym.exact_max().unwrap();
         // Witness reproduces (also checked internally, assert to be sure).
@@ -99,10 +92,14 @@ proptest! {
             let v = net.forward(&x).unwrap()[0];
             prop_assert!(v <= max + 1e-6, "sample {v} beats verified max {max}");
         }
-        // Interval presolve reaches the same optimum.
-        let iv = exact(BoundMethod::Interval);
-        prop_assert!(iv.is_exact());
-        prop_assert!((iv.exact_max().unwrap() - max).abs() < 1e-5);
+        // The big-M encoding under interval presolve reaches the same
+        // optimum.
+        let enc = encode(&net, &spec, BoundMethod::Interval).unwrap();
+        let mut milp = enc.milp.clone();
+        milp.set_objective(&[(enc.output_vars[0], 1.0)]);
+        let iv = BranchAndBound::new().solve(&milp).unwrap();
+        prop_assert!(iv.status == MilpStatus::Optimal);
+        prop_assert!((iv.objective.unwrap() - max).abs() < 1e-5);
     }
 
     /// Shrinking the input box can never increase the verified maximum.
