@@ -18,7 +18,10 @@
 //! `lp.pivots` per second and the warm/cold solve-time p50/p95 shifts.
 //! Keys missing on either side (e.g. baselines written before histogram
 //! percentiles were folded into the block) print as `n.a.` rather than
-//! failing.
+//! failing. When both blocks carry per-phase self times
+//! (`phase.<name>.self_s`) their deltas follow, naming the layer a
+//! wall-time change lives in; the core counts (`nproc`) the two files
+//! ran on head the report.
 //!
 //! Two gates flip the exit code to 1:
 //!
@@ -117,7 +120,8 @@ fn metric(rows: &[BenchRow], name: &str) -> Option<f64> {
         .filter(|v| v.is_finite())
 }
 
-/// Prints the metrics-derived section: LP pivot throughput and warm/cold
+/// Prints the metrics-derived section: LP pivot throughput, per-phase
+/// self times (only when both sides carry them) and warm/cold
 /// solve-latency percentile deltas. Absent keys (metrics-free files, or
 /// baselines older than histogram folding) print as `n.a.`.
 fn print_metrics_diff(base: &[BenchRow], cand: &[BenchRow]) {
@@ -159,6 +163,12 @@ fn print_metrics_diff(base: &[BenchRow], cand: &[BenchRow]) {
             _ => "n.a.".to_string(),
         };
         println!("{key:<26} {:>12} {:>12} {delta:>9}", row(b), row(c));
+    }
+    for phase in certnn_obs::PHASES {
+        let key = format!("phase.{}.self_s", phase.as_str());
+        if let (Some(b), Some(c)) = (metric(base, &key), metric(cand, &key)) {
+            println!("{key:<26} {b:>11.3}s {c:>11.3}s {:>9}", fmt_pct(pct(b, c)));
+        }
     }
     for hist in ["lp.warm_solve_nanos", "lp.cold_solve_nanos"] {
         for q in ["p50", "p95"] {
@@ -254,6 +264,12 @@ fn run(args: &[String]) -> Result<(), String> {
             ));
         }
     }
+    let cores = |rows: &[BenchRow]| rows.iter().map(|r| r.nproc).max().unwrap_or(0);
+    println!(
+        "nproc: baseline {}, candidate {}",
+        cores(&base),
+        cores(&cand)
+    );
     print_diff(&base, &cand);
     print_metrics_diff(&base, &cand);
     if require_identical {

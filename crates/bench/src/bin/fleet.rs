@@ -21,8 +21,9 @@
 //! Observability (any of these switches `certnn-obs` on for the run;
 //! verdicts are unaffected): `--trace t.jsonl` writes span/event/
 //! metrics/profile records as JSON lines, `--metrics` prints the
-//! counter/gauge/histogram snapshot after the table (and folds it into
-//! the final `--json` row), `--profile` prints per-phase self time.
+//! counter/gauge/histogram snapshot after the table (and folds it, with
+//! each phase's self time, into the final `--json` row), `--profile`
+//! prints per-phase self time.
 //!
 //! Crash safety: `--checkpoint DIR` snapshots each member's verification
 //! query to `DIR` (atomic, checksummed; one file per query),
@@ -41,7 +42,7 @@
 
 #![warn(clippy::unwrap_used)]
 
-use certnn_bench::json::{write_json, BenchRow};
+use certnn_bench::json::{nproc, run_metrics, write_json, BenchRow};
 use certnn_bench::write_report;
 use certnn_core::fleet::{run_fleet, FleetConfig, FleetResult};
 use certnn_serve::fleet::run_fleet_over;
@@ -183,6 +184,7 @@ fn main() {
             }
             if let Some(path) = json_path {
                 let width = config.hidden.first().copied().unwrap_or(0);
+                let nproc = nproc();
                 let mut rows: Vec<BenchRow> = result
                     .members
                     .iter()
@@ -192,6 +194,7 @@ fn main() {
                         wall_secs: m.wall_secs,
                         stats: m.stats,
                         threads: config.threads,
+                        nproc,
                         warm_start: config.warm_start,
                         metrics: Vec::new(),
                     })
@@ -200,7 +203,7 @@ fn main() {
                     // Run-cumulative snapshot; recorded once, on the
                     // final row (see certnn_bench::json).
                     if let Some(last) = rows.last_mut() {
-                        last.metrics = certnn_obs::metrics_snapshot().scalars();
+                        last.metrics = run_metrics();
                     }
                 }
                 match write_json(&path, &rows) {

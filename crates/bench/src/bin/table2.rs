@@ -31,8 +31,9 @@
 //! the run; verdicts and bounds are unaffected): `--trace t.jsonl`
 //! writes the span/event/metrics/profile records as JSON lines,
 //! `--metrics` prints the counter/gauge/histogram snapshot after the
-//! table (and folds it into the final `--json` row as a `metrics`
-//! block), `--profile` prints the per-phase self-time breakdown.
+//! table (and folds it, with each phase's self time, into the final
+//! `--json` row as a `metrics` block), `--profile` prints the per-phase
+//! self-time breakdown.
 //!
 //! Crash safety: `--checkpoint DIR` snapshots every verification query's
 //! live search state to `DIR` (atomic, checksummed; one file per query),
@@ -45,7 +46,7 @@
 
 #![warn(clippy::unwrap_used)]
 
-use certnn_bench::json::{write_json, BenchRow};
+use certnn_bench::json::{nproc, run_metrics, write_json, BenchRow};
 use certnn_bench::table2::{run_table2, Table2Config};
 use certnn_bench::write_report;
 use certnn_verify::checkpoint::{CheckpointPolicy, DEFAULT_EVERY_NODES};
@@ -190,6 +191,7 @@ fn main() {
                 print!("\n{}", certnn_obs::profile_report());
             }
             if let Some(path) = json_path {
+                let nproc = nproc();
                 let mut rows: Vec<BenchRow> = config
                     .widths
                     .iter()
@@ -200,6 +202,7 @@ fn main() {
                         wall_secs: row.stats.elapsed.as_secs_f64(),
                         stats: row.stats,
                         threads: config.threads,
+                        nproc,
                         warm_start: config.warm_start,
                         metrics: Vec::new(),
                     })
@@ -208,7 +211,7 @@ fn main() {
                     // Run-cumulative snapshot; recorded once, on the
                     // final row (see certnn_bench::json).
                     if let Some(last) = rows.last_mut() {
-                        last.metrics = certnn_obs::metrics_snapshot().scalars();
+                        last.metrics = run_metrics();
                     }
                 }
                 match write_json(&path, &rows) {

@@ -9,8 +9,8 @@
 //!   {"width": 10, "value": 0.688497, "wall_secs": 5.4, "nodes": 812,
 //!    "lp_iterations": 90321, "binaries": 40, "rows": 900,
 //!    "warm_solves": 700, "cold_solves": 112, "pivots_saved": 41250,
-//!    "lp_skipped": 0, "lp_forced": 0, "threads": 4, "warm_start": true,
-//!    "degradation": "exact"}
+//!    "lp_skipped": 0, "lp_forced": 0, "threads": 4, "nproc": 2,
+//!    "warm_start": true, "degradation": "exact"}
 //! ]
 //! ```
 //!
@@ -24,12 +24,13 @@
 //!
 //! When a run is observed (`--metrics` on the report binaries) the final
 //! row additionally carries a nested `"metrics": {"lp.warm_solves": 700,
-//! ...}` object — the run-cumulative scalar snapshot from `certnn-obs`.
-//! It is always emitted as the *last* key of the row and parsed back
-//! into [`BenchRow::metrics`]. `bench_diff` mines it for throughput and
-//! latency-percentile deltas but treats every key as optional, so
-//! wall-time gates keep working against baselines written before (or
-//! without) observability.
+//! ...}` object — the run-cumulative scalar snapshot from `certnn-obs`
+//! plus every profiler phase's self time as `phase.<name>.self_s`
+//! ([`run_metrics`]). It is always emitted as the *last* key of the row
+//! and parsed back into [`BenchRow::metrics`]. `bench_diff` mines it for
+//! throughput, per-phase and latency-percentile deltas but treats every
+//! key as optional, so wall-time gates keep working against baselines
+//! written before (or without) observability.
 
 use certnn_lp::Degradation;
 use certnn_obs::jsonl::{self, Value};
@@ -55,6 +56,9 @@ pub struct BenchRow {
     pub stats: VerifyStats,
     /// Thread knob the row ran with (`0` = auto).
     pub threads: usize,
+    /// Cores the machine offered ([`nproc`]) when the row ran; `0` in
+    /// files written before the field existed.
+    pub nproc: usize,
     /// Whether LP warm-starting was enabled for the row.
     pub warm_start: bool,
     /// Run-cumulative observability scalars (`certnn-obs` counters and
@@ -73,10 +77,31 @@ impl Default for BenchRow {
             wall_secs: 0.0,
             stats: VerifyStats::default(),
             threads: 0,
+            nproc: 0,
             warm_start: true,
             metrics: Vec::new(),
         }
     }
+}
+
+/// Cores available to this process (`available_parallelism`), `0` when
+/// the platform cannot tell: the core count every row records, so a
+/// timing is never read without the machine it ran on.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
+}
+
+/// The final row's `metrics` block for an observed run: the
+/// `certnn-obs` scalar snapshot plus `phase.<name>.self_s`, the self
+/// time of every profiler phase in seconds, so `bench_diff` can name
+/// the layer a wall-time change lives in.
+pub fn run_metrics() -> Vec<(String, f64)> {
+    let mut metrics = certnn_obs::metrics_snapshot().scalars();
+    for t in certnn_obs::phase_totals() {
+        let name = format!("phase.{}.self_s", t.phase.as_str());
+        metrics.push((name, t.self_ns as f64 / 1e9));
+    }
+    metrics
 }
 
 /// JSON literal for an `f64`: finite values round-trip via `Display`,
@@ -122,8 +147,9 @@ pub fn to_json(rows: &[BenchRow]) -> String {
             s.push_str(&format!(", \"{name}\": {v}"));
         }
         s.push_str(&format!(
-            ", \"threads\": {}, \"warm_start\": {}, \"degradation\": \"{}\"",
+            ", \"threads\": {}, \"nproc\": {}, \"warm_start\": {}, \"degradation\": \"{}\"",
             r.threads,
+            r.nproc,
             r.warm_start,
             r.stats.degradation.as_str()
         ));
@@ -214,6 +240,7 @@ pub fn parse_json(text: &str) -> Result<Vec<BenchRow>, String> {
                 Some(v) => float(v, "wall_secs", i)?.unwrap_or(f64::NAN),
             },
             threads: item.get("threads").map_or(Ok(0), |v| count(v, "threads", i))?,
+            nproc: item.get("nproc").map_or(Ok(0), |v| count(v, "nproc", i))?,
             warm_start: match item.get("warm_start") {
                 None => true,
                 Some(Value::Bool(b)) => *b,
@@ -281,6 +308,7 @@ mod tests {
                     ..VerifyStats::default()
                 },
                 threads: 4,
+                nproc: 2,
                 warm_start: true,
                 metrics: Vec::new(),
             },
@@ -299,6 +327,7 @@ mod tests {
                     ..VerifyStats::default()
                 },
                 threads: 0,
+                nproc: 1,
                 warm_start: false,
                 metrics: vec![
                     ("bab.nodes".to_string(), 12000.0),
@@ -407,6 +436,25 @@ mod tests {
         // The flat scalar `warm_solves` must come from the row, not from
         // the dotted metric of the same suffix.
         assert_eq!(parsed[1].stats.warm_solves, 0);
+    }
+
+    #[test]
+    fn nproc_round_trips_and_reads_zero_from_older_files() {
+        let s = to_json(&sample_rows());
+        assert!(s.contains("\"threads\": 4, \"nproc\": 2,"), "{s}");
+        assert_eq!(parse_json(&s).unwrap()[1].nproc, 1);
+        let old = "[{\"width\": 6, \"value\": 1.5, \"threads\": 2}]";
+        assert_eq!(parse_json(old).unwrap()[0].nproc, 0);
+    }
+
+    #[test]
+    fn run_metrics_carry_every_phase_self_time() {
+        let metrics = run_metrics();
+        for phase in certnn_obs::PHASES {
+            let key = format!("phase.{}.self_s", phase.as_str());
+            let v = metrics.iter().find(|(n, _)| *n == key).map(|&(_, v)| v);
+            assert!(v.is_some_and(|v| v >= 0.0), "{key} missing: {metrics:?}");
+        }
     }
 
     #[test]

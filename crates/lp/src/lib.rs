@@ -46,7 +46,6 @@
 
 mod csc;
 mod deadline;
-pub mod export;
 mod factor;
 #[cfg(feature = "fault-inject")]
 pub mod fault;

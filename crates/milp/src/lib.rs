@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
-pub mod export;
 mod model;
 mod solver;
 

@@ -21,6 +21,7 @@
 
 use crate::property::LinearObjective;
 use crate::VerifyError;
+use certnn_linalg::kernels::axpy;
 use certnn_linalg::{Interval, Matrix, Vector};
 use certnn_nn::activation::Activation;
 use certnn_nn::network::Network;
@@ -132,7 +133,9 @@ pub fn interval_objective_ceiling(
 }
 
 /// Linear symbolic bounds of one layer's neurons, expressed over the
-/// network input: `Al·x + bl ≤ v ≤ Au·x + bu`.
+/// network input: `Al·x + bl ≤ v ≤ Au·x + bu`. Row `r` holds neuron `r`;
+/// every row spans the `n_in` input columns, so the buffer is
+/// `widest layer × n_in` and all updates are whole-row slice kernels.
 #[derive(Debug, Clone)]
 struct SymbolicBounds {
     lower_a: Matrix,
@@ -152,29 +155,36 @@ impl SymbolicBounds {
         }
     }
 
-    /// Reinitialises the first `n` rows to the exact identity bounds
-    /// `x ≤ v ≤ x` of the network input (the symbolic state before the
-    /// first layer).
-    fn load_identity(&mut self, n: usize) {
-        for r in 0..n {
-            for c in 0..n {
-                let v = if r == c { 1.0 } else { 0.0 };
-                self.lower_a[(r, c)] = v;
-                self.upper_a[(r, c)] = v;
-            }
-            self.lower_b[r] = 0.0;
-            self.upper_b[r] = 0.0;
+    /// Loads row `r` with a first-layer neuron's exact bounds
+    /// `w·x + b ≤ z ≤ w·x + b`: the first layer reads the input itself,
+    /// so its symbolic rows are just its weights and bias.
+    ///
+    /// For finite weights the values are bit-for-bit those of the
+    /// general affine step applied to the identity bounds `x ≤ v ≤ x`
+    /// (the symbolic state before the first layer): a zero weight of
+    /// either sign lands as `+0.0`, and the bias absorbs `w·0.0` from
+    /// every nonzero weight, which turns a `-0.0` bias into `+0.0` once
+    /// some weight is positive.
+    fn load_first_layer_row(&mut self, r: usize, w: &[f64], b: f64) {
+        for (a, &wc) in self.lower_a.row_mut(r).iter_mut().zip(w) {
+            *a = wc + 0.0;
         }
+        self.upper_a.row_mut(r).copy_from_slice(self.lower_a.row(r));
+        let b = w
+            .iter()
+            .filter(|&&wc| wc != 0.0)
+            .fold(b, |acc, &wc| acc + wc * 0.0);
+        self.lower_b[r] = b;
+        self.upper_b[r] = b;
     }
 
     /// Concretises row `r` against the input box.
     fn concretize_row(&self, r: usize, input_box: &[Interval]) -> Interval {
         let mut lo = self.lower_b[r];
         let mut hi = self.upper_b[r];
-        for (c, iv) in input_box.iter().enumerate() {
-            let al = self.lower_a[(r, c)];
+        let coeffs = self.lower_a.row(r).iter().zip(self.upper_a.row(r));
+        for (iv, (&al, &au)) in input_box.iter().zip(coeffs) {
             lo += if al >= 0.0 { al * iv.lo() } else { al * iv.hi() };
-            let au = self.upper_a[(r, c)];
             hi += if au >= 0.0 { au * iv.hi() } else { au * iv.lo() };
         }
         // Floating-point slack can produce lo marginally above hi.
@@ -186,11 +196,9 @@ impl SymbolicBounds {
         }
     }
 
-    fn zero_row(&mut self, r: usize, n_in: usize) {
-        for c in 0..n_in {
-            self.lower_a[(r, c)] = 0.0;
-            self.upper_a[(r, c)] = 0.0;
-        }
+    fn zero_row(&mut self, r: usize) {
+        self.lower_a.row_mut(r).fill(0.0);
+        self.upper_a.row_mut(r).fill(0.0);
         self.lower_b[r] = 0.0;
         self.upper_b[r] = 0.0;
     }
@@ -232,10 +240,15 @@ pub struct PhasedAnalysis {
 ///
 /// * the IBP result is computed once (lazily — phase-forced calls never
 ///   need it) and cached,
-/// * the two symbolic coefficient buffers are allocated once at the
-///   widest layer size and reused by every subsequent [`analyze`] call,
-///   with the ReLU activation step rewritten **in place** (every update
-///   is an element-wise scale, so no aliasing hazard).
+/// * the two symbolic coefficient buffers are allocated once at
+///   `widest layer × n_in` and reused by every subsequent [`analyze`]
+///   call, with the ReLU activation step rewritten **in place** (every
+///   update is a row scale, so no aliasing hazard).
+///
+/// One analysis costs `Σ_l rows_l × inputs_l × n_in` multiply-adds per
+/// side for the layers after the first; the first layer's symbolic rows
+/// are its weights, loaded in closed form, and every update is a
+/// whole-row [`axpy`]/scale over contiguous coefficients.
 ///
 /// Each branch-and-bound worker owns one `PhaseAnalyzer`; results are
 /// identical to the allocate-per-call path, which remains available as
@@ -268,13 +281,7 @@ impl<'a> PhaseAnalyzer<'a> {
     pub fn new(net: &'a Network, input_box: &'a [Interval]) -> Result<Self, VerifyError> {
         check_box(net, input_box)?;
         let n_in = net.inputs();
-        let max_rows = net
-            .layers()
-            .iter()
-            .map(|l| l.outputs())
-            .max()
-            .unwrap_or(0)
-            .max(n_in);
+        let max_rows = net.layers().iter().map(|l| l.outputs()).max().unwrap_or(0);
         Ok(Self {
             net,
             input_box,
@@ -335,7 +342,6 @@ impl<'a> PhaseAnalyzer<'a> {
         self.analyze_impl(phases, objective, Some(alpha), None)
     }
 
-    #[allow(clippy::needless_range_loop)] // row-indexed symbolic updates
     fn analyze_impl(
         &mut self,
         phases: &Phases,
@@ -371,8 +377,6 @@ impl<'a> PhaseAnalyzer<'a> {
             self.ibp = Some(interval_bounds(net, input_box)?);
         }
 
-        self.cur.load_identity(n_in);
-
         for (li, layer) in net.layers().iter().enumerate() {
             if !layer.activation().is_piecewise_linear() {
                 return Err(VerifyError::NotPiecewiseLinear { layer: li });
@@ -382,15 +386,19 @@ impl<'a> PhaseAnalyzer<'a> {
             let rows = layer.outputs();
 
             // Affine step: z = W·a + b, with W split by sign for each
-            // bound. Reads `cur` (previous activation symbolics), fully
-            // overwrites the first `rows` rows of `nxt`.
+            // bound. Fully overwrites the first `rows` rows of `nxt`; the
+            // first layer reads the input directly, every later one reads
+            // `cur` (previous activation symbolics) row by row.
             let (prev, z_sym) = (&self.cur, &mut self.nxt);
             for r in 0..rows {
-                z_sym.zero_row(r, n_in);
+                if li == 0 {
+                    z_sym.load_first_layer_row(r, w.row(r), b[r]);
+                    continue;
+                }
+                z_sym.zero_row(r);
                 z_sym.lower_b[r] = b[r];
                 z_sym.upper_b[r] = b[r];
-                for j in 0..layer.inputs() {
-                    let wij = w[(r, j)];
+                for (j, &wij) in w.row(r).iter().enumerate() {
                     if wij == 0.0 {
                         continue;
                     }
@@ -399,10 +407,8 @@ impl<'a> PhaseAnalyzer<'a> {
                     } else {
                         (&prev.upper_a, &prev.upper_b, &prev.lower_a, &prev.lower_b)
                     };
-                    for c in 0..n_in {
-                        z_sym.lower_a[(r, c)] += wij * use_lo_a[(j, c)];
-                        z_sym.upper_a[(r, c)] += wij * use_hi_a[(j, c)];
-                    }
+                    axpy(wij, use_lo_a.row(j), z_sym.lower_a.row_mut(r));
+                    axpy(wij, use_hi_a.row(j), z_sym.upper_a.row_mut(r));
                     z_sym.lower_b[r] += wij * use_lo_b[j];
                     z_sym.upper_b[r] += wij * use_hi_b[j];
                 }
@@ -425,16 +431,13 @@ impl<'a> PhaseAnalyzer<'a> {
             }
 
             // Activation step, rewriting `nxt` in place: every ReLU case
-            // either zeroes a row or scales its own elements, so reading
-            // the pre-activation coefficient while writing the activation
-            // one is safe element-by-element.
+            // either zeroes its own row or scales it.
             let sym = &mut self.nxt;
             let a_conc = match layer.activation() {
                 Activation::Identity => z_conc.clone(),
                 Activation::Relu => {
                     let mut conc = Vec::with_capacity(rows);
-                    for r in 0..rows {
-                        let iv = z_conc[r];
+                    for (r, &iv) in z_conc.iter().enumerate() {
                         let phase = phases.get(relu_cursor).copied().flatten();
                         let flat = relu_cursor;
                         relu_cursor += 1;
@@ -444,7 +447,7 @@ impl<'a> PhaseAnalyzer<'a> {
                                 if iv.lo() > 1e-9 {
                                     conflict = true;
                                 }
-                                sym.zero_row(r, n_in);
+                                sym.zero_row(r);
                                 conc.push(Interval::zero());
                             }
                             Some(true) => {
@@ -457,7 +460,7 @@ impl<'a> PhaseAnalyzer<'a> {
                             }
                             None => {
                                 if iv.is_nonpositive() {
-                                    sym.zero_row(r, n_in);
+                                    sym.zero_row(r);
                                     conc.push(Interval::zero());
                                 } else if iv.is_nonnegative() {
                                     conc.push(iv);
@@ -466,8 +469,8 @@ impl<'a> PhaseAnalyzer<'a> {
                                     let (l, u) = (iv.lo(), iv.hi());
                                     unstable.push((flat, iv.width()));
                                     let slope = u / (u - l);
-                                    for c in 0..n_in {
-                                        sym.upper_a[(r, c)] *= slope;
+                                    for a in sym.upper_a.row_mut(r) {
+                                        *a *= slope;
                                     }
                                     sym.upper_b[r] = slope * (sym.upper_b[r] - l);
                                     let lambda = match alpha {
@@ -483,8 +486,8 @@ impl<'a> PhaseAnalyzer<'a> {
                                     if let Some(cap) = capture.as_deref_mut() {
                                         cap[flat] = lambda;
                                     }
-                                    for c in 0..n_in {
-                                        sym.lower_a[(r, c)] *= lambda;
+                                    for a in sym.lower_a.row_mut(r) {
+                                        *a *= lambda;
                                     }
                                     sym.lower_b[r] *= lambda;
                                     conc.push(iv.relu());
@@ -516,9 +519,7 @@ impl<'a> PhaseAnalyzer<'a> {
             } else {
                 (&out_sym.lower_a, &out_sym.lower_b)
             };
-            for (i, slot) in obj_a.iter_mut().enumerate() {
-                *slot += c * a_mat[(o, i)];
-            }
+            axpy(c, a_mat.row(o), &mut obj_a);
             obj_b += c * b_vec[o];
         }
         let mut objective_upper = obj_b;
@@ -1293,6 +1294,238 @@ mod tests {
             let off = alpha_optimized_bounds(&net, &ib, 0).unwrap();
             assert_eq!(off, sym);
         }
+    }
+
+    #[test]
+    fn analyzer_buffers_span_the_widest_layer_not_the_input() {
+        let net = Network::relu_mlp(84, &[10, 7], 3, 5).unwrap();
+        let ib = unit_box(84);
+        let analyzer = PhaseAnalyzer::new(&net, &ib).unwrap();
+        for sym in [&analyzer.cur, &analyzer.nxt] {
+            assert_eq!(sym.lower_a.shape(), (10, 84));
+            assert_eq!(sym.upper_a.shape(), (10, 84));
+        }
+    }
+
+    #[test]
+    fn first_layer_bounds_are_the_exact_affine_range() {
+        // The first layer's symbolic rows are its weights, so its
+        // pre-activation bounds are the exact range of `W·x + b` over
+        // the box, with or without forced phases.
+        let net = Network::relu_mlp(5, &[6, 4], 1, 31).unwrap();
+        let ib: Vec<Interval> = (0..5)
+            .map(|i| Interval::new(-0.5 + 0.1 * i as f64, 0.25 + 0.2 * i as f64))
+            .collect();
+        let (w, b) = (net.layers()[0].weights(), net.layers()[0].bias());
+        let mut phases = vec![None; net.num_relu_neurons()];
+        phases[7] = Some(true);
+        let obj = LinearObjective::output(0);
+        for p in [&[][..], &phases[..]] {
+            let an = analyze_with_phases(&net, &ib, p, &obj).unwrap();
+            for (r, iv) in an.bounds.pre[0].iter().enumerate() {
+                let (mut lo, mut hi) = (b[r], b[r]);
+                for (&wc, x) in w.row(r).iter().zip(&ib) {
+                    lo += if wc >= 0.0 { wc * x.lo() } else { wc * x.hi() };
+                    hi += if wc >= 0.0 { wc * x.hi() } else { wc * x.lo() };
+                }
+                assert_eq!((iv.lo(), iv.hi()), (lo, hi), "row {r}");
+            }
+        }
+    }
+
+    // --- pinned output bits ---
+
+    use crate::sealed::Fnv1a;
+
+    fn absorb_bounds(h: &mut Fnv1a, nb: &NetworkBounds) {
+        for layer in nb.pre.iter().chain(&nb.post) {
+            h.write_u64(layer.len() as u64);
+            for iv in layer {
+                h.write_f64(iv.lo());
+                h.write_f64(iv.hi());
+            }
+        }
+    }
+
+    fn absorb_analysis(h: &mut Fnv1a, an: &PhasedAnalysis) {
+        absorb_bounds(h, &an.bounds);
+        h.write_f64(an.objective_upper);
+        for &x in an.maximizer.iter() {
+            h.write_f64(x);
+        }
+        h.write_u64(u64::from(an.conflict));
+        h.write_u64(an.unstable.len() as u64);
+        for &(f, w) in &an.unstable {
+            h.write_u64(f as u64);
+            h.write_f64(w);
+        }
+    }
+
+    fn absorb_alpha(h: &mut Fnv1a, alpha: Option<&[f64]>) {
+        match alpha {
+            None => h.write_u64(u64::MAX),
+            Some(a) => {
+                h.write_u64(a.len() as u64);
+                for &x in a {
+                    h.write_f64(x);
+                }
+            }
+        }
+    }
+
+    /// First single-neuron phase assignment, forced against a stable
+    /// neuron's sign, that the analysis reports as a conflict.
+    fn conflicting_phases(
+        an: &mut PhaseAnalyzer,
+        net: &Network,
+        obj: &LinearObjective,
+    ) -> Vec<Option<bool>> {
+        let n = net.num_relu_neurons();
+        let free = an.analyze(&[], obj).unwrap();
+        let relu_pre = net
+            .layers()
+            .iter()
+            .zip(&free.bounds.pre)
+            .filter(|(l, _)| l.activation() == Activation::Relu)
+            .flat_map(|(_, pre)| pre.iter());
+        for (flat, iv) in relu_pre.enumerate() {
+            let force = if iv.lo() > 1e-9 {
+                false
+            } else if iv.hi() < -1e-9 {
+                true
+            } else {
+                continue;
+            };
+            let mut phases = vec![None; n];
+            phases[flat] = Some(force);
+            if an.analyze(&phases, obj).unwrap().conflict {
+                return phases;
+            }
+        }
+        panic!("no stable neuron yields a conflicting assignment");
+    }
+
+    /// Hashes every output of every symbolic entry point on `net`.
+    fn hash_symbolic_outputs(
+        h: &mut Fnv1a,
+        net: &Network,
+        ib: &[Interval],
+        obj: &LinearObjective,
+        rng: &mut StdRng,
+    ) {
+        absorb_bounds(h, &symbolic_bounds(net, ib).unwrap());
+        absorb_bounds(h, &alpha_optimized_bounds(net, ib, 1).unwrap());
+        let n = net.num_relu_neurons();
+        let mut analyzer = PhaseAnalyzer::new(net, ib).unwrap();
+        let mut phase_sets: Vec<Vec<Option<bool>>> = vec![Vec::new()];
+        if n > 0 {
+            let partial = (0..n)
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => Some(false),
+                    1 => Some(true),
+                    _ => None,
+                })
+                .collect();
+            phase_sets.push(partial);
+            phase_sets.push(conflicting_phases(&mut analyzer, net, obj));
+        }
+        for phases in &phase_sets {
+            let alpha: Vec<f64> = (0..n).map(|_| rng.gen_range(-0.25..1.25)).collect();
+            let warm: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..2u32))).collect();
+            absorb_analysis(h, &analyzer.analyze(phases, obj).unwrap());
+            absorb_analysis(
+                h,
+                &analyzer.analyze_with_alpha(phases, obj, &alpha).unwrap(),
+            );
+            for w in [None, Some(warm.as_slice())] {
+                let (an, a) = analyzer.analyze_tuned(phases, obj, 1, w).unwrap();
+                absorb_analysis(h, &an);
+                absorb_alpha(h, a.as_deref());
+            }
+            let (an, a) = analyzer.refine_alpha(phases, obj, &warm, 2).unwrap();
+            absorb_analysis(h, &an);
+            absorb_alpha(h, Some(&a));
+        }
+    }
+
+    /// A ReLU layer whose weights hold `0.0` and `-0.0` entries and whose
+    /// biases are `-0.0`, feeding a two-output identity layer. On a box
+    /// whose lower corners are all `≤ -0.0`, rows 0–2 concretise to a
+    /// signed zero, so the sign each zero weight and bias ends up with
+    /// shows in the output bits.
+    fn signed_zero_net() -> Network {
+        let l1 = DenseLayer::new(
+            Matrix::from_rows(&[
+                &[0.5, 0.0, -0.0, 0.0],
+                &[-0.0, -0.0, -0.0, -0.0],
+                &[0.0, -0.0, 0.0, -0.0],
+                &[-0.0, -0.5, 0.0, -1.0],
+                &[1.0, 0.0, -0.0, 0.3],
+                &[0.7, -0.2, -0.0, 0.0],
+            ])
+            .unwrap(),
+            Vector::from(vec![-0.0, -0.0, -0.0, -0.0, 2.0, -0.0]),
+            Activation::Relu,
+        )
+        .unwrap();
+        let l2 = DenseLayer::new(
+            Matrix::from_rows(&[
+                &[1.0, -0.0, 0.5, -0.75, 0.25, 0.5],
+                &[-0.5, 1.0, 0.0, 0.125, -1.0, -0.0],
+            ])
+            .unwrap(),
+            Vector::from(vec![-0.0, 0.5]),
+            Activation::Identity,
+        )
+        .unwrap();
+        Network::new(vec![l1, l2]).unwrap()
+    }
+
+    #[test]
+    fn analysis_bits_are_pinned() {
+        // Every symbolic entry point is one kernel; this pins the exact
+        // bits it returns so a rewrite of the kernel must reproduce them.
+        let mut rng = StdRng::seed_from_u64(0x5eed_b175);
+        let mut h = Fnv1a::new();
+        let two_outputs = LinearObjective {
+            terms: vec![(0, 1.0), (1, -0.5)],
+            constant: 0.25,
+        };
+        let random_box = |rng: &mut StdRng, n: usize| -> Vec<Interval> {
+            (0..n)
+                .map(|_| {
+                    let lo = rng.gen_range(-1.0..0.5);
+                    Interval::new(lo, lo + rng.gen_range(0.01..0.2))
+                })
+                .collect()
+        };
+
+        let wide = Network::relu_mlp(84, &[10, 10], 2, 11).unwrap();
+        let ib = random_box(&mut rng, 84);
+        hash_symbolic_outputs(&mut h, &wide, &ib, &two_outputs, &mut rng);
+
+        let deep = Network::relu_mlp(3, &[6, 6, 6], 1, 12).unwrap();
+        let ib = random_box(&mut rng, 3);
+        hash_symbolic_outputs(&mut h, &deep, &ib, &LinearObjective::output(0), &mut rng);
+
+        let affine = Network::relu_mlp(5, &[], 2, 13).unwrap();
+        let ib = random_box(&mut rng, 5);
+        hash_symbolic_outputs(&mut h, &affine, &ib, &two_outputs, &mut rng);
+
+        let ib = vec![
+            Interval::new(-0.0, 0.5),
+            Interval::new(-0.4, 0.3),
+            Interval::new(-0.2, 0.6),
+            Interval::new(-0.1, 1.0),
+        ];
+        hash_symbolic_outputs(&mut h, &signed_zero_net(), &ib, &two_outputs, &mut rng);
+
+        assert_eq!(
+            h.finish(),
+            0xeeef_bfa9_b66f_771e,
+            "symbolic outputs moved: {:#018x}",
+            h.finish()
+        );
     }
 
     proptest! {
