@@ -12,10 +12,16 @@
 //! the tool prints the wall-time, node, LP-solve (warm + cold) and pivot
 //! deltas as percentages of the baseline, plus the candidate's warm/cold
 //! solve split and the nodes whose LP the α-bound gate skipped
-//! (`lp_skipped`; baselines written before the gate carry `0`). When
+//! (`lp_skipped`; baselines written before the gate carry `0`). Pivots
+//! are simplex iterations as `certnn_lp::LpSolution::iterations` counts
+//! them (basis changes plus primal bound flips); files written while the
+//! dual simplex still counted each bound flip read ~4× higher on the same
+//! work, so a pivot delta against them measures nothing. When
 //! either file carries an obs `metrics` block (`--metrics` on the report
 //! binaries) a second section reports throughput and latency deltas:
-//! `lp.pivots` per second and the warm/cold solve-time p50/p95 shifts.
+//! `lp.pivots` per second, the LP-skip gate and warm-start fallback
+//! counters (`bab.lp_skipped`, `bab.lp_forced`, `lp.cold_fallbacks`,
+//! `lp.stale_basis_bails`) and the warm/cold solve-time p50/p95 shifts.
 //! Keys missing on either side (e.g. baselines written before histogram
 //! percentiles were folded into the block) print as `n.a.` rather than
 //! failing. When both blocks carry per-phase self times
@@ -150,11 +156,16 @@ fn print_metrics_diff(base: &[BenchRow], cand: &[BenchRow]) {
         ),
         _ => println!("{:<26} {:>12} {:>12} {:>9}", "lp.pivots/s", "n.a.", "n.a.", "n.a."),
     }
-    for key in ["bab.lp_skipped", "bab.lp_forced"] {
+    for key in [
+        "bab.lp_skipped",
+        "bab.lp_forced",
+        "lp.cold_fallbacks",
+        "lp.stale_basis_bails",
+    ] {
         let row = |v: Option<f64>| v.map_or("n.a.".to_string(), |c| format!("{c:.0}"));
         let (b, c) = (metric(base, key), metric(cand, key));
-        // Skip-gate counters: absent entirely from pre-gate baselines
-        // and metrics-free files; print only when either side has them.
+        // Skip-gate and warm-fallback counters: absent from metrics-free
+        // files; print only when either side has them.
         if b.is_none() && c.is_none() {
             continue;
         }

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! table2 [--widths 10,20,25,40,50,60] [--time-limit 120] [--epochs 25]
+//! table2 [--widths 4,6,8,10,12,14] [--time-limit 150] [--epochs 60]
 //!        [--threads N] [--json rows.json] [--smoke] [--cold]
 //!        [--alpha-iters N] [--no-lp-skip]
 //!        [--checkpoint DIR] [--checkpoint-every N] [--resume DIR]
@@ -11,6 +11,10 @@
 //! ```
 //!
 //! `--smoke` runs the seconds-scale variant used by the integration tests.
+//! Each network is seeded by its *position* in `--widths`, not by its
+//! width: `--widths 12` trains a different `I4×12` from the fifth row of
+//! the default sweep, while `--widths 4,6,8,10,12` reproduces the default
+//! sweep's first five rows. Compare probes on the same list.
 //! `--threads 0` (the default) verifies widths on all available cores;
 //! `--threads 1` restores the serial run. `--cold` disables LP
 //! warm-starting (the baseline the warm path is benchmarked against;

@@ -175,7 +175,9 @@ pub struct LpSolution {
     /// Dual values (simplex multipliers) per row, indexed by [`RowId`],
     /// reported for the model's own sense.
     pub duals: Vec<f64>,
-    /// Number of simplex pivots performed across both phases.
+    /// Number of simplex iterations performed across both phases: basis
+    /// changes plus primal bound flips. The bound flips of one dual
+    /// ratio-test pass belong to that pass's single iteration.
     pub iterations: usize,
 }
 

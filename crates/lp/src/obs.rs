@@ -11,21 +11,21 @@ use certnn_obs::{counter, histogram, Counter, Histogram};
 
 /// Handles for every `lp.*` metric.
 pub(crate) struct LpMetrics {
-    /// Total simplex pivots (primal + dual), all solves.
+    /// Simplex iterations over all solves: basis changes (primal and
+    /// dual) plus primal bound flips. The bound flips of a dual
+    /// ratio-test pass are part of its one iteration and not counted.
     pub pivots: Counter,
     /// Solves completed on the warm (dual-restore) path.
     pub warm_solves: Counter,
     /// Cold two-phase solves (including warm fallbacks).
     pub cold_solves: Counter,
-    /// Warm attempts that fell back to a cold solve.
+    /// Warm attempts that fell back to a cold solve: stale-basis bails,
+    /// stalled dual walks and numeric failures of the warm path.
     pub cold_fallbacks: Counter,
     /// Warm attempts declined up-front because the snapshot basis had too
-    /// many bound violations (the stale-basis gate) — routine, distinct
-    /// from singular-basis failures.
+    /// many bound violations (the stale-basis gate), or was neither primal
+    /// nor dual feasible — routine, distinct from singular-basis failures.
     pub stale_basis_bails: Counter,
-    /// Warm attempts abandoned mid-walk (dual pivot budget or numeric
-    /// stall), also routine.
-    pub warm_budget_stalls: Counter,
     /// Basis refactorizations (LU from scratch): warm thaw misses, eta-cap
     /// hits, unstable pivots and drift resets.
     pub refactorizations: Counter,
@@ -50,7 +50,6 @@ pub(crate) fn lp_metrics() -> &'static LpMetrics {
         cold_solves: counter("lp.cold_solves"),
         cold_fallbacks: counter("lp.cold_fallbacks"),
         stale_basis_bails: counter("lp.stale_basis_bails"),
-        warm_budget_stalls: counter("lp.warm_budget_stalls"),
         refactorizations: counter("lp.refactorizations"),
         deadline_checks: counter("lp.deadline_checks"),
         deadline_expired: counter("lp.deadline_expired"),

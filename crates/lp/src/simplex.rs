@@ -185,9 +185,11 @@ pub struct WarmSolve {
     /// when the warm path fell back to a cold two-phase run).
     pub warm_used: bool,
     /// The numeric failure that forced an *error-driven* cold fallback,
-    /// when one occurred. Routine fallbacks (snapshot too stale, dual walk
-    /// over budget, dimension mismatch) leave this `None`: they are normal
-    /// warm-start operation, not degradation.
+    /// when one occurred. Routine fallbacks leave this `None`: they are
+    /// normal warm-start operation, not degradation. They are a dimension
+    /// mismatch, a snapshot too stale for the stale-basis gate, and a dual
+    /// walk that stalled (iteration cap, deadline, repeated bad pivots, or
+    /// every violated row passed over because its pivot was unstable).
     pub fallback: Option<SolveError>,
 }
 
@@ -465,7 +467,11 @@ struct Tableau {
     rho: Vec<f64>,
     /// Residual scratch for [`Tableau::refresh_basics`].
     resid: Vec<f64>,
-    /// Candidate buffer for the dual ratio test.
+    /// Phase-2 reduced cost of every column, priced by
+    /// [`Tableau::price_reduced_costs`] and carried along the pivot row by
+    /// the dual phase (fixed columns are not kept current there).
+    d: Vec<f64>,
+    /// Candidate buffer for the dual ratio test: (var, ratio, alpha).
     cands: Vec<(usize, f64, f64)>,
     /// Bound-flip buffer for the dual ratio test.
     flips: Vec<usize>,
@@ -595,6 +601,7 @@ impl Tableau {
             y: vec![0.0; m],
             rho: Vec::new(),
             resid: Vec::with_capacity(m),
+            d: Vec::new(),
             cands: Vec::new(),
             flips: Vec::new(),
             iterations: 0,
@@ -714,6 +721,7 @@ impl Tableau {
             y: vec![0.0; m],
             rho: Vec::new(),
             resid: Vec::with_capacity(m),
+            d: Vec::new(),
             cands: Vec::new(),
             flips: Vec::new(),
             iterations: 0,
@@ -775,6 +783,20 @@ impl Tableau {
             d -= self.y[i] * c;
         }
         d
+    }
+
+    /// Prices the phase-2 reduced cost of every column from scratch into
+    /// `d` (zero on basics): one BTRAN plus one column dot per nonbasic.
+    fn price_reduced_costs(&mut self) {
+        self.price_duals(false);
+        self.d.resize(self.n_total, 0.0);
+        for j in 0..self.n_total {
+            self.d[j] = if self.status[j] == Status::Basic {
+                0.0
+            } else {
+                self.reduced_cost(j, false)
+            };
+        }
     }
 
     /// Recomputes basic variable values from the nonbasic point; returns
@@ -920,14 +942,14 @@ impl Tableau {
     }
 
     /// Worst reduced-cost sign violation over the nonbasic variables,
-    /// against the multipliers in the `y` scratch.
+    /// against the reduced costs in `d`.
     fn dual_infeasibility(&self) -> f64 {
         let mut worst = 0.0f64;
         for j in 0..self.n_total {
             if self.status[j] == Status::Basic {
                 continue;
             }
-            let d = self.reduced_cost(j, false);
+            let d = self.d[j];
             let v = match self.status[j] {
                 Status::AtLower => -d,
                 Status::AtUpper => d,
@@ -1110,18 +1132,34 @@ impl Tableau {
         }
     }
 
-    /// Bound-flipping dual simplex: starting from a dual-feasible basis,
-    /// drives out primal bound violations one leaving row at a time. Each
-    /// iteration picks the most violated basic variable, prices the
-    /// admissible entering columns against the pivot row (sparse scan,
-    /// skipping zero entries), flips boxed candidates whose whole span is
-    /// absorbed by the remaining violation, and pivots on the first
-    /// candidate that can absorb the rest. Proves primal infeasibility when
-    /// no admissible column exists — the fast path that lets child nodes of
-    /// a branch-and-bound tree be pruned in a handful of pivots.
+    /// Bound-flipping dual simplex: starting from a dual-feasible basis
+    /// whose reduced costs `d` were just priced, drives out primal bound
+    /// violations one leaving row at a time. Each iteration picks the most
+    /// violated basic variable, computes the pivot row `α` (one BTRAN plus
+    /// a sparse column scan) and walks the admissible entering columns in
+    /// dual-ratio order: boxed candidates whose whole span is absorbed by
+    /// the remaining violation flip to their opposite bound, the first one
+    /// that can absorb the rest enters. All flips of an iteration share one
+    /// FTRAN and are not iterations themselves; after the pivot the reduced
+    /// costs move along `α` instead of being re-priced. A pivot that fails
+    /// [`BasisFactor::pivot_stable`] is not taken: its row is passed over
+    /// until the next basis change. Proves primal infeasibility when no
+    /// admissible column exists — the fast path that lets child nodes of a
+    /// branch-and-bound tree be pruned in a handful of pivots.
+    ///
+    /// Returns `Stalled` (the caller re-solves cold) on the iteration cap,
+    /// the deadline, repeated pivots whose FTRAN image disagrees with the
+    /// row scan, or when every violated row has been passed over.
     fn dual_phase(&mut self) -> DualOutcome {
         let mut stall = 0usize;
         let mut bad_pivots = 0usize;
+        // The pivot row α over the nonbasic, non-fixed columns with a
+        // nonzero entry; the FTRAN image of one bound-flip pass,
+        // B⁻¹ Σ a_k Δx_k; and the rows passed over since the last basis
+        // change.
+        let mut alpha_row: Vec<(usize, f64)> = Vec::new();
+        let mut flip_w = vec![0.0; self.m];
+        let mut skipped = vec![false; self.m];
         loop {
             if self.iterations >= self.opts.max_iterations {
                 return DualOutcome::Stalled;
@@ -1143,25 +1181,33 @@ impl Tableau {
                 if let Err(e) = self.periodic_refresh() {
                     return DualOutcome::Error(e);
                 }
+                self.price_reduced_costs();
             }
 
-            // Leaving row: most violated basic variable.
+            // Leaving row: most violated basic variable not passed over.
             let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, above upper)
+            let mut passed_over = false;
             for r in 0..self.m {
                 let b = self.basis[r];
                 let above = self.x[b] - self.hi[b];
                 let below = self.lo[b] - self.x[b];
                 let (v, is_above) = if above >= below { (above, true) } else { (below, false) };
-                if v > self.opts.feas_tol && leave.is_none_or(|(_, best, _)| v > best) {
-                    leave = Some((r, v, is_above));
+                if v > self.opts.feas_tol {
+                    if skipped[r] {
+                        passed_over = true;
+                    } else if leave.is_none_or(|(_, best, _)| v > best) {
+                        leave = Some((r, v, is_above));
+                    }
                 }
             }
             let Some((r_leave, violation, above)) = leave else {
-                return DualOutcome::Feasible;
+                return if passed_over {
+                    DualOutcome::Stalled
+                } else {
+                    DualOutcome::Feasible
+                };
             };
             let b_leave = self.basis[r_leave];
-
-            self.price_duals(false);
             let bland = stall >= self.opts.stall_limit;
 
             // The dual pivot row in constraint-row space: ρ = B⁻ᵀ e_r,
@@ -1175,11 +1221,12 @@ impl Tableau {
                 self.factor.btran(rho);
             }
 
-            // Admissible entering candidates with their dual ratios
-            // |d_j / α_j|, where α is the pivot row of B⁻¹A. A column is
+            // The pivot row α of B⁻¹A, and the admissible entering
+            // candidates with their dual ratios |d_j / α_j|. A column is
             // admissible when moving it within its bounds decreases the
             // leaving variable's violation without breaking the sign
             // condition on any reduced cost.
+            alpha_row.clear();
             self.cands.clear(); // (var, ratio, alpha)
             for j in 0..self.n_total {
                 if self.status[j] == Status::Basic {
@@ -1192,6 +1239,10 @@ impl Tableau {
                 for (i, c) in self.cols.col(j) {
                     alpha += self.rho[i] * c;
                 }
+                if alpha == 0.0 {
+                    continue;
+                }
+                alpha_row.push((j, alpha));
                 if alpha.abs() < self.opts.pivot_tol {
                     continue;
                 }
@@ -1216,8 +1267,7 @@ impl Tableau {
                 if !admissible {
                     continue;
                 }
-                let d = self.reduced_cost(j, false);
-                let mut ratio = d / alpha;
+                let mut ratio = self.d[j] / alpha;
                 if !above {
                     ratio = -ratio;
                 }
@@ -1240,14 +1290,14 @@ impl Tableau {
             // violation is flipped to its opposite bound, the first one
             // that can absorb the rest enters the basis.
             self.flips.clear();
-            let mut entering: Option<(usize, f64)> = None; // (var, ratio)
+            let mut entering: Option<(usize, f64, f64)> = None; // (var, ratio, alpha)
             if bland {
-                let &(j, ratio, _) = self
+                let &(j, ratio, alpha) = self
                     .cands
                     .iter()
                     .min_by_key(|c| c.0)
                     .expect("candidates nonempty");
-                entering = Some((j, ratio));
+                entering = Some((j, ratio, alpha));
             } else {
                 self.cands.sort_by(|a, b| {
                     a.1.partial_cmp(&b.1)
@@ -1267,12 +1317,12 @@ impl Tableau {
                         self.flips.push(j);
                         remaining -= capacity;
                     } else {
-                        entering = Some((j, ratio));
+                        entering = Some((j, ratio, alpha));
                         break;
                     }
                 }
             }
-            let Some((q, ratio_q)) = entering else {
+            let Some((q, ratio_q, alpha_q)) = entering else {
                 // Flipping every admissible variable through its whole span
                 // still leaves violation: no feasible point exists. Same
                 // finiteness certificate as the empty-candidate ray above.
@@ -1282,34 +1332,8 @@ impl Tableau {
                 return DualOutcome::Infeasible;
             };
 
-            // Apply the accumulated bound flips.
-            for fi in 0..self.flips.len() {
-                let k = self.flips[fi];
-                let span = self.hi[k] - self.lo[k];
-                let step = match self.status[k] {
-                    Status::AtLower => {
-                        self.status[k] = Status::AtUpper;
-                        self.x[k] = self.hi[k];
-                        span
-                    }
-                    Status::AtUpper => {
-                        self.status[k] = Status::AtLower;
-                        self.x[k] = self.lo[k];
-                        -span
-                    }
-                    // Free variables have infinite span and are never
-                    // flipped; basics are excluded above.
-                    _ => continue,
-                };
-                self.compute_ftran(k);
-                for r in 0..self.m {
-                    let bi = self.basis[r];
-                    self.x[bi] -= self.w[r] * step;
-                }
-                self.iterations += 1;
-            }
-
-            // Pivot q into the leaving row.
+            // The entering column's image decides whether the iteration
+            // happens at all, so it comes before any flip is applied.
             self.compute_ftran(q);
             let wr = self.w[r_leave];
             if wr.abs() < self.opts.pivot_tol {
@@ -1323,9 +1347,50 @@ impl Tableau {
                     return DualOutcome::Error(e);
                 }
                 self.refresh_basics();
+                self.price_reduced_costs();
                 continue;
             }
             bad_pivots = 0;
+            if !BasisFactor::pivot_stable(r_leave, &self.w) {
+                // An eta on this pivot would be unstable and a fresh LU of
+                // the new basis close to singular: leave the row alone
+                // until the basis changes.
+                skipped[r_leave] = true;
+                continue;
+            }
+
+            // Apply the bound flips with one FTRAN of Σ a_k Δx_k.
+            if !self.flips.is_empty() {
+                flip_w.fill(0.0);
+                for &k in &self.flips {
+                    let span = self.hi[k] - self.lo[k];
+                    let step = match self.status[k] {
+                        Status::AtLower => {
+                            self.status[k] = Status::AtUpper;
+                            self.x[k] = self.hi[k];
+                            span
+                        }
+                        Status::AtUpper => {
+                            self.status[k] = Status::AtLower;
+                            self.x[k] = self.lo[k];
+                            -span
+                        }
+                        // Free variables have infinite span and are never
+                        // flipped; basics are excluded above.
+                        _ => continue,
+                    };
+                    for (i, c) in self.cols.col(k) {
+                        flip_w[i] += c * step;
+                    }
+                }
+                self.factor.ftran(&mut flip_w);
+                for r in 0..self.m {
+                    let bi = self.basis[r];
+                    self.x[bi] -= flip_w[r];
+                }
+            }
+
+            // Pivot q into the leaving row.
             let target = if above {
                 self.hi[b_leave]
             } else {
@@ -1341,10 +1406,21 @@ impl Tableau {
             self.status[b_leave] = if above { Status::AtUpper } else { Status::AtLower };
             self.basis[r_leave] = q;
             self.status[q] = Status::Basic;
+
+            // Dual step θ along the pivot row: the leaving column's row
+            // entry is 1 and the entering column's reduced cost drops to 0.
+            let theta = self.d[q] / alpha_q;
+            for &(j, alpha) in &alpha_row {
+                self.d[j] -= theta * alpha;
+            }
+            self.d[b_leave] = -theta;
+            self.d[q] = 0.0;
+
             if let Err(e) = self.apply_pivot(r_leave) {
                 return DualOutcome::Error(e);
             }
             self.iterations += 1;
+            skipped.fill(false);
             // Degenerate dual steps (zero ratio) leave the reduced costs
             // unchanged and can cycle; count them towards Bland's rule.
             if ratio_q <= self.opts.opt_tol * 10.0 {
@@ -1357,22 +1433,21 @@ impl Tableau {
 
     /// Warm-start driver: restores primal feasibility with the dual
     /// simplex when the snapshot basis is dual feasible, then polishes
-    /// with a primal phase-2 run. Returns `Ok(None)` whenever the
-    /// incremental path cannot certify a result for routine reasons
-    /// (snapshot too stale, pivot budget overrun) — the caller must
-    /// cold-solve — and `Err` when a numeric failure poisoned the warm
-    /// path, so the cold fallback can be tagged with the cause.
+    /// with a primal phase-2 run, both under the caller's full
+    /// `max_iterations`. Returns `Ok(None)` whenever the incremental path
+    /// cannot certify a result for routine reasons — snapshot too stale
+    /// for the gate, or a dual walk that stalled (iteration cap, deadline,
+    /// repeated bad pivots, every violated row passed over as unstable) —
+    /// so the caller must cold-solve, and `Err` when a numeric failure
+    /// poisoned the warm path, so the cold fallback can be tagged with the
+    /// cause.
     fn run_warm(&mut self, model: &LpModel) -> Result<Option<LpSolution>, SolveError> {
         let sense_sign = match model.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
         // Stale-basis guard: a snapshot with many violated basics predicts a
-        // long dual walk that can end up costlier than a cold solve. Budget
-        // the whole warm path (dual walk plus primal polish) relative to the
-        // violation count; an overrun bails out (`Stalled`/`IterationLimit`
-        // below) and the caller retries cold with the full budget, so the
-        // wasted work per solve is bounded by this cap.
+        // long dual walk that can end up costlier than a cold solve.
         let violated = (0..self.m)
             .filter(|&r| {
                 let b = self.basis[r];
@@ -1388,9 +1463,9 @@ impl Tableau {
             lp_metrics().stale_basis_bails.inc();
             return Ok(None);
         }
-        let budget = self.m / 2 + 6 * violated + 20;
-        self.opts.max_iterations = self.opts.max_iterations.min(budget);
-        self.price_duals(false);
+        // The dual phase starts from these reduced costs and carries them
+        // along its pivot rows.
+        self.price_reduced_costs();
         let dual_inf = self.dual_infeasibility();
         if dual_inf <= self.opts.opt_tol * 100.0 {
             match self.dual_phase() {
@@ -1398,10 +1473,7 @@ impl Tableau {
                 DualOutcome::Infeasible => {
                     return Ok(Some(self.finish(model, LpStatus::Infeasible, sense_sign)));
                 }
-                DualOutcome::Stalled => {
-                    lp_metrics().warm_budget_stalls.inc();
-                    return Ok(None);
-                }
+                DualOutcome::Stalled => return Ok(None),
                 DualOutcome::Error(e) => return Err(e),
             }
         } else if self.primal_infeasibility() > self.opts.feas_tol * 10.0 {
@@ -1413,10 +1485,7 @@ impl Tableau {
         let stat = match self.phase(false)? {
             // An iteration cap on the warm path is not a verdict; retry cold
             // with a fresh budget rather than reporting a truncated solve.
-            Some(LpStatus::IterationLimit) => {
-                lp_metrics().warm_budget_stalls.inc();
-                return Ok(None);
-            }
+            Some(LpStatus::IterationLimit) => return Ok(None),
             Some(s) => s,
             None => LpStatus::Optimal,
         };
@@ -1966,6 +2035,52 @@ mod tests {
         assert!(
             o.warm_stale_frac > 0.0 && o.warm_stale_frac <= 1.0,
             "stale fraction is a fraction"
+        );
+    }
+
+    #[test]
+    fn many_flips_in_one_dual_iteration_stay_warm() {
+        // max Σ c_i x_i over x ∈ [0, 1]⁸⁰ with s = Σ x_i. The parent
+        // optimum has every x_i = 1; capping s at 20 makes the child's
+        // dual ratio test flip the 59 cheapest x_i and pivot on the 60th,
+        // all in one iteration.
+        let n = 80;
+        let mut m = LpModel::new(Sense::Maximize);
+        let xs: Vec<_> = (0..n).map(|i| m.add_var(&format!("x{i}"), 0.0, 1.0)).collect();
+        let s = m.add_var("s", 0.0, f64::INFINITY);
+        let c: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 37) % n) as f64 / n as f64).collect();
+        m.set_objective(&xs.iter().zip(&c).map(|(&x, &ci)| (x, ci)).collect::<Vec<_>>());
+        let mut row: Vec<_> = xs.iter().map(|&x| (x, -1.0)).collect();
+        row.push((s, 1.0));
+        m.add_row("sum", &row, RowKind::Eq, 0.0).unwrap();
+
+        let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
+        let root = Simplex::new().solve_snapshot(&m, &base).unwrap();
+        assert_eq!(root.solution.status, LpStatus::Optimal);
+        assert!(xs.iter().all(|&x| root.solution.value(x) == 1.0));
+        let warm = root.warm.expect("snapshot");
+
+        let mut child = base.clone();
+        child[s.0] = (0.0, 20.0);
+        let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
+        let ws = Simplex::new().solve_warm(&m, &child, &warm).unwrap();
+        assert!(ws.warm_used, "a dual-feasible warm start must finish warm");
+        assert_eq!(ws.fallback, None);
+        let mut sorted = c.clone();
+        sorted.sort_by(|a, b| b.total_cmp(a));
+        let top20: f64 = sorted[..20].iter().sum();
+        assert_eq!(cold.status, LpStatus::Optimal);
+        assert!((cold.objective - top20).abs() < 1e-9, "cold {}", cold.objective);
+        assert!(
+            (ws.solution.objective - cold.objective).abs() < 1e-9,
+            "warm {} cold {}",
+            ws.solution.objective,
+            cold.objective
+        );
+        assert!(
+            ws.solution.iterations <= 2,
+            "flips are not iterations: {} iterations",
+            ws.solution.iterations
         );
     }
 

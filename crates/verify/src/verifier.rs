@@ -60,7 +60,8 @@ macro_rules! verify_stats {
 verify_stats! {
     /// Branch-and-bound nodes explored.
     nodes: sum,
-    /// Simplex pivots across all LP solves.
+    /// Simplex iterations across all LP solves (see
+    /// `certnn_lp::LpSolution::iterations`).
     lp_iterations: sum,
     /// Binary variables in the encoding (unstable neurons).
     binaries: max,

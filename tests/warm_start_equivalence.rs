@@ -8,8 +8,13 @@
 //! count.
 
 use certnn_bench::table2::{run_table2, Table2Config};
-use certnn_lp::{LpModel, LpStatus, RowKind, Sense, Simplex};
+use certnn_core::scenario::left_vehicle_spec;
+use certnn_lp::{LpModel, LpStatus, RowKind, Sense, Simplex, VarId};
+use certnn_nn::network::Network;
+use certnn_verify::encoder::{encode, BoundMethod};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn small_coeff() -> impl Strategy<Value = f64> {
     // Integer quarters keep the arithmetic tame so the 1e-9 objective
@@ -157,4 +162,60 @@ fn table2_smoke_is_thread_invariant_and_warm_cold_agree() {
     // The warm run actually exercises the warm path on these networks.
     let total_warm: usize = warm1.rows.iter().map(|r| r.stats.warm_solves).sum();
     assert!(total_warm > 0, "warm path never taken in the smoke pipeline");
+}
+
+/// Long dual walks on the big-M ReLU encoding: three seeded dives that pin
+/// one random unfixed binary per step, each child warm-started from its
+/// parent's snapshot, must agree with a cold solve of the same bounds. An
+/// infeasible pin is checked the same way, then the dive takes the other
+/// phase.
+#[test]
+fn warm_dives_on_the_big_m_encoding_match_cold() {
+    let net = Network::relu_mlp(84, &[10, 10], 5, 11).unwrap();
+    let enc = encode(&net, &left_vehicle_spec(), BoundMethod::Symbolic).unwrap();
+    let mut lp = enc.milp.relaxation().clone();
+    lp.set_objective(&[(enc.output_vars[0], 1.0)]);
+    let root_bounds: Vec<(f64, f64)> =
+        (0..lp.num_vars()).map(|i| lp.bounds(VarId::from_index(i))).collect();
+    let binaries: Vec<VarId> = enc.relu_binaries.iter().flatten().copied().collect();
+    assert!(binaries.len() >= 8, "only {} unstable neurons", binaries.len());
+
+    let simplex = Simplex::new();
+    let root = simplex.solve_snapshot(&lp, &root_bounds).unwrap();
+    assert_eq!(root.solution.status, LpStatus::Optimal);
+    let (mut warm_solves, mut warm_iterations) = (0usize, 0usize);
+    for dive in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(dive);
+        let mut bounds = root_bounds.clone();
+        let mut warm = root.warm.clone().expect("root snapshot");
+        let mut free = binaries.clone();
+        for depth in 0..8 {
+            let b = free.swap_remove(rng.gen_range(0..free.len()));
+            let first = f64::from(rng.gen_range(0..2u32));
+            let mut next = None;
+            for phase in [first, 1.0 - first] {
+                let mut child = bounds.clone();
+                child[b.index()] = (phase, phase);
+                let cold = simplex.solve_with_bounds(&lp, &child).unwrap();
+                let ws = simplex.solve_warm(&lp, &child, &warm).unwrap();
+                let at = format!("dive {dive}, depth {depth}, phase {phase}");
+                assert_eq!(ws.solution.status, cold.status, "{at}");
+                assert_eq!(ws.fallback, None, "{at}");
+                warm_solves += usize::from(ws.warm_used);
+                warm_iterations += ws.solution.iterations;
+                if cold.status == LpStatus::Optimal {
+                    let (w, c) = (ws.solution.objective, cold.objective);
+                    assert!((w - c).abs() <= 1e-9 * (1.0 + c.abs()), "{at}: warm {w} cold {c}");
+                    assert!(lp.is_feasible(&ws.solution.x, 1e-6), "{at}: infeasible warm point");
+                    next = Some((child, ws.warm.expect("optimal warm solve has a snapshot")));
+                    break;
+                }
+            }
+            let Some((child, snapshot)) = next else { break };
+            bounds = child;
+            warm = snapshot;
+        }
+    }
+    assert!(warm_solves >= 12, "only {warm_solves} solves stayed warm");
+    assert!(warm_iterations > 0);
 }
