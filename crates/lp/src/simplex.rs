@@ -1143,9 +1143,13 @@ impl Tableau {
     /// FTRAN and are not iterations themselves; after the pivot the reduced
     /// costs move along `α` instead of being re-priced. A pivot that fails
     /// [`BasisFactor::pivot_stable`] is not taken: its row is passed over
-    /// until the next basis change. Proves primal infeasibility when no
-    /// admissible column exists — the fast path that lets child nodes of a
-    /// branch-and-bound tree be pruned in a handful of pivots.
+    /// until the next basis change. After `stall_limit` consecutive
+    /// degenerate steps the walk follows Bland's rule until a step makes
+    /// progress: the violated basic with the lowest column index leaves
+    /// and the lowest-index minimum-ratio column enters, with no flips.
+    /// Proves primal infeasibility when no admissible column exists — the
+    /// fast path that lets child nodes of a branch-and-bound tree be
+    /// pruned in a handful of pivots.
     ///
     /// Returns `Stalled` (the caller re-solves cold) on the iteration cap,
     /// the deadline, repeated pivots whose FTRAN image disagrees with the
@@ -1184,7 +1188,10 @@ impl Tableau {
                 self.price_reduced_costs();
             }
 
-            // Leaving row: most violated basic variable not passed over.
+            // Leaving row: the most violated basic variable not passed
+            // over, or under Bland's rule the violated one with the lowest
+            // column index.
+            let bland = stall >= self.opts.stall_limit;
             let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, above upper)
             let mut passed_over = false;
             for r in 0..self.m {
@@ -1195,7 +1202,13 @@ impl Tableau {
                 if v > self.opts.feas_tol {
                     if skipped[r] {
                         passed_over = true;
-                    } else if leave.is_none_or(|(_, best, _)| v > best) {
+                    } else if leave.is_none_or(|(best_r, best, _)| {
+                        if bland {
+                            b < self.basis[best_r]
+                        } else {
+                            v > best
+                        }
+                    }) {
                         leave = Some((r, v, is_above));
                     }
                 }
@@ -1208,7 +1221,6 @@ impl Tableau {
                 };
             };
             let b_leave = self.basis[r_leave];
-            let bland = stall >= self.opts.stall_limit;
 
             // The dual pivot row in constraint-row space: ρ = B⁻ᵀ e_r,
             // one extra sparse solve replacing the dense inverse's free
@@ -1288,16 +1300,20 @@ impl Tableau {
             // Bound-flipping ratio test: walk candidates in dual-ratio
             // order; a boxed candidate whose whole span still leaves
             // violation is flipped to its opposite bound, the first one
-            // that can absorb the rest enters the basis.
+            // that can absorb the rest enters the basis. Bland's rule
+            // flips nothing and enters the lowest-index column among the
+            // minimum-ratio candidates, which keeps the reduced costs dual
+            // feasible and rules out cycling.
             self.flips.clear();
             let mut entering: Option<(usize, f64, f64)> = None; // (var, ratio, alpha)
             if bland {
-                let &(j, ratio, alpha) = self
+                let min_ratio = self.cands.iter().map(|c| c.1).fold(f64::INFINITY, f64::min);
+                entering = self
                     .cands
                     .iter()
+                    .filter(|c| c.1 <= min_ratio)
                     .min_by_key(|c| c.0)
-                    .expect("candidates nonempty");
-                entering = Some((j, ratio, alpha));
+                    .copied();
             } else {
                 self.cands.sort_by(|a, b| {
                     a.1.partial_cmp(&b.1)
@@ -2081,6 +2097,60 @@ mod tests {
             ws.solution.iterations <= 2,
             "flips are not iterations: {} iterations",
             ws.solution.iterations
+        );
+    }
+
+    #[test]
+    fn bland_dual_walk_stays_dual_feasible() {
+        // The model of `many_flips_in_one_dual_iteration_stay_warm`, walked
+        // under Bland's rule from the first step: every entering column
+        // must be a minimum-ratio one, so the walk ends dual feasible at
+        // the cold optimum.
+        let opts = SimplexOptions {
+            stall_limit: 0,
+            ..SimplexOptions::default()
+        };
+        let n = 80;
+        let mut m = LpModel::new(Sense::Maximize);
+        let xs: Vec<_> = (0..n).map(|i| m.add_var(&format!("x{i}"), 0.0, 1.0)).collect();
+        let s = m.add_var("s", 0.0, f64::INFINITY);
+        let c: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 37) % n) as f64 / n as f64).collect();
+        m.set_objective(&xs.iter().zip(&c).map(|(&x, &ci)| (x, ci)).collect::<Vec<_>>());
+        let mut row: Vec<_> = xs.iter().map(|&x| (x, -1.0)).collect();
+        row.push((s, 1.0));
+        m.add_row("sum", &row, RowKind::Eq, 0.0).unwrap();
+        let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
+        let warm = Simplex::with_options(opts)
+            .solve_snapshot(&m, &base)
+            .unwrap()
+            .warm
+            .expect("snapshot");
+        let mut child = base.clone();
+        child[s.0] = (0.0, 20.0);
+
+        let mut t = Tableau::build_warm(&m, &child, opts, Deadline::none(), &warm)
+            .unwrap()
+            .expect("snapshot fits");
+        t.price_reduced_costs();
+        let tol = opts.opt_tol * 100.0;
+        assert!(t.dual_infeasibility() <= tol, "parent basis is dual feasible");
+        assert!(matches!(t.dual_phase(), DualOutcome::Feasible));
+        t.price_reduced_costs();
+        assert!(
+            t.dual_infeasibility() <= tol,
+            "Bland walk broke dual feasibility: {}",
+            t.dual_infeasibility()
+        );
+
+        let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
+        let ws = Simplex::with_options(opts).solve_warm(&m, &child, &warm).unwrap();
+        assert!(ws.warm_used);
+        assert_eq!(ws.solution.status, LpStatus::Optimal);
+        assert!(
+            (ws.solution.objective - cold.objective).abs() < 1e-9,
+            "warm {} cold {}",
+            ws.solution.objective,
+            cold.objective
         );
     }
 
