@@ -16,7 +16,11 @@
 //! are simplex iterations as `certnn_lp::LpSolution::iterations` counts
 //! them (basis changes plus primal bound flips); files written while the
 //! dual simplex still counted each bound flip read ~4× higher on the same
-//! work, so a pivot delta against them measures nothing. When
+//! work, so a pivot delta against them measures nothing. Likewise `nodes`
+//! counts the nodes of both node rules since the big-M MILP's LP rule
+//! runs inside the search tree; files written while a hand-off was one
+//! node with a nested MILP solve count far fewer, so a node delta against
+//! them measures nothing either. When
 //! either file carries an obs `metrics` block (`--metrics` on the report
 //! binaries) a second section reports throughput and latency deltas:
 //! `lp.pivots` per second, the LP-skip gate and warm-start fallback

@@ -22,7 +22,7 @@
 //! coordinate-descent rounds of the α-optimized bounding layer (`0`
 //! reproduces the fixed-slope heuristic bit-for-bit) and `--no-lp-skip`
 //! disables the gate that elides per-node LP relaxations where they are
-//! redundant (sub-MILP hand-off nodes, whose root solve subsumes them);
+//! redundant (nodes handed to the LP rule, whose first LP subsumes them);
 //! verdicts are identical at any setting. `--json` additionally writes one
 //! machine-readable record per width (see [`certnn_bench::json`]) —
 //! diff two such files with `bench_diff`. `--fault-inject SEED` (builds

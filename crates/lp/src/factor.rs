@@ -14,6 +14,11 @@
 //! tableau thaws it instead of refactorizing `O(m³)` from scratch. A
 //! 64-bit basis-column signature guards against reusing a frozen factor
 //! for a different constraint matrix of the same shape.
+//!
+//! It is also *replayable*: a representation is a pure function of its
+//! [`FrozenFactor::history`], so [`BasisFactor::replay`] rebuilds it bit
+//! for bit from a model's own columns — how a checkpointed basis resumes
+//! exactly where the live search would have thawed it.
 
 use std::sync::Arc;
 
@@ -38,6 +43,8 @@ const ETA_STABILITY_TOL: f64 = 1e-8;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LuFactor {
     m: usize,
+    /// The basis columns this LU factorizes, by basis position.
+    basis: Vec<usize>,
     /// Row permutation from partial pivoting: permuted position `k`
     /// reads original constraint row `p[k]`.
     p: Vec<usize>,
@@ -133,6 +140,7 @@ impl LuFactor {
         }
         Some(Self {
             m,
+            basis: basis.to_vec(),
             p,
             l_ptr,
             l_rows,
@@ -169,18 +177,19 @@ impl LuFactor {
 }
 
 /// One product-form eta: the pivot that replaced basis position `r`
-/// with a column whose FTRAN image was `w`. Applying the inverse eta is
-/// `O(nnz(w))`.
+/// with column `col`, whose FTRAN image was `w`. Applying the inverse eta
+/// is `O(nnz(w))`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Eta {
     r: usize,
+    col: usize,
     inv_pivot: f64,
     rows: Vec<usize>,
     vals: Vec<f64>,
 }
 
 impl Eta {
-    fn from_image(r: usize, w: &[f64]) -> Self {
+    fn from_image(r: usize, col: usize, w: &[f64]) -> Self {
         let mut rows = Vec::new();
         let mut vals = Vec::new();
         for (i, &v) in w.iter().enumerate() {
@@ -191,6 +200,7 @@ impl Eta {
         }
         Self {
             r,
+            col,
             inv_pivot: 1.0 / w[r],
             rows,
             vals,
@@ -231,6 +241,14 @@ impl FrozenFactor {
     pub(crate) fn num_rows(&self) -> usize {
         self.lu.m
     }
+
+    /// The representation's history: the basis its LU factorizes (one
+    /// column per position) followed by the position and entering column
+    /// of each eta, in order.
+    pub(crate) fn history(&self) -> impl Iterator<Item = usize> + '_ {
+        let etas = self.etas.iter().flat_map(|e| [e.r, e.col]);
+        self.lu.basis.iter().copied().chain(etas)
+    }
 }
 
 /// The live basis representation of one tableau: an `Arc`-shared LU
@@ -255,6 +273,42 @@ impl BasisFactor {
             tail: Vec::new(),
             tmp: Vec::with_capacity(m),
         })
+    }
+
+    /// Rebuilds the representation a [`FrozenFactor::history`] describes
+    /// for a factorization of `basis`: factorizes the history's LU basis
+    /// and re-applies each pivot with the FTRAN image of its column,
+    /// exactly as the live tableau computed them. `None` when the history
+    /// does not lead to `basis`, names a column `cols` lacks, or holds a
+    /// singular LU or a pivot the tableau could not have taken as an eta.
+    pub(crate) fn replay(cols: &ColMatrix, basis: &[usize], history: &[usize]) -> Option<Self> {
+        let m = basis.len();
+        if history.len() < m || !(history.len() - m).is_multiple_of(2) {
+            return None;
+        }
+        let (lu_basis, etas) = history.split_at(m);
+        let pivots: Vec<(usize, usize)> = etas.chunks(2).map(|p| (p[0], p[1])).collect();
+        let mut walk = lu_basis.to_vec();
+        for &(r, col) in &pivots {
+            *walk.get_mut(r)? = col;
+        }
+        if walk != basis || history.iter().any(|&j| j >= cols.num_cols()) {
+            return None;
+        }
+        let mut f = Self::factorize(cols, lu_basis)?;
+        let mut w = vec![0.0; m];
+        for &(r, col) in &pivots {
+            w.fill(0.0);
+            for (i, c) in cols.col(col) {
+                w[i] += c;
+            }
+            f.ftran(&mut w);
+            if !Self::pivot_stable(r, &w) {
+                return None;
+            }
+            f.push_eta(r, col, &w);
+        }
+        Some(f)
     }
 
     /// Thaws a frozen parent factorization for a child tableau. The
@@ -327,9 +381,10 @@ impl BasisFactor {
         wr >= ETA_STABILITY_TOL * max
     }
 
-    /// Appends the eta for a pivot at position `r` with FTRAN image `w`.
-    pub(crate) fn push_eta(&mut self, r: usize, w: &[f64]) {
-        self.tail.push(Eta::from_image(r, w));
+    /// Appends the eta for a pivot of column `col` into position `r` with
+    /// FTRAN image `w`.
+    pub(crate) fn push_eta(&mut self, r: usize, col: usize, w: &[f64]) {
+        self.tail.push(Eta::from_image(r, col, w));
     }
 
     /// Fault-injection hook: poisons the representation so subsequent
@@ -338,6 +393,7 @@ impl BasisFactor {
     pub(crate) fn poison(&mut self) {
         self.tail.push(Eta {
             r: 0,
+            col: usize::MAX,
             inv_pivot: f64::NAN,
             rows: Vec::new(),
             vals: Vec::new(),
@@ -522,7 +578,7 @@ mod tests {
                 .max_by(|&a, &b| w[a].abs().partial_cmp(&w[b].abs()).expect("finite"))
                 .expect("nonempty");
             prop_assume!(BasisFactor::pivot_stable(r, &w));
-            f.push_eta(r, &w);
+            f.push_eta(r, m, &w);
             let mut basis2 = basis.clone();
             basis2[r] = m;
             let bmat2 = basis_matrix(&cols, &basis2, m);
@@ -552,6 +608,14 @@ mod tests {
             let mut x4 = b.to_vec();
             thawed.ftran(&mut x4);
             assert_close(&x4, &x2, 1e-12, "thawed ftran");
+
+            // Replaying the frozen history rebuilds it bit for bit.
+            let history: Vec<usize> = f.freeze(0).history().collect();
+            let mut replayed = BasisFactor::replay(&cols, &basis2, &history).expect("replays");
+            let mut x5 = b.to_vec();
+            replayed.ftran(&mut x5);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&x5), bits(&x2));
             let _ = pivot_col; // reserved for future multi-pivot variants
         }
     }

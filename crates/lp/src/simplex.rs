@@ -84,6 +84,10 @@ pub struct WarmStart {
     /// Frozen basis factorization (LU + eta chain) so descendants patch
     /// the parent's representation instead of refactorizing O(m³).
     factor: Option<FrozenFactor>,
+    /// Factorization history read back by [`WarmStart::from_description`];
+    /// the first warm solve replays it into the very factorization the
+    /// live snapshot carried.
+    history: Option<Vec<usize>>,
 }
 
 impl WarmStart {
@@ -101,7 +105,7 @@ impl WarmStart {
     /// one status code per column (structurals then slacks), using the
     /// stable encoding `0 = basic, 1 = at lower, 2 = at upper,
     /// 3 = free at zero`. Used by checkpointing; the frozen factorization
-    /// is deliberately absent — see [`WarmStart::from_description`].
+    /// is deliberately absent — see [`WarmStart::describe_factor`].
     pub fn describe(&self) -> (Vec<u64>, Vec<u8>) {
         let basis = self.basis.iter().map(|&b| b as u64).collect();
         let status = self
@@ -117,26 +121,42 @@ impl WarmStart {
         (basis, status)
     }
 
-    /// Rebuilds a snapshot from [`WarmStart::describe`] output.
+    /// The factorization's history, the combinatorial half of the
+    /// description: the basis column its LU was computed for at each
+    /// position, then the position and entering column of each eta since
+    /// (empty when the snapshot carries no factorization).
+    pub fn describe_factor(&self) -> Vec<u64> {
+        match (&self.factor, &self.history) {
+            (Some(fz), _) => fz.history().map(|j| j as u64).collect(),
+            (None, history) => history.iter().flatten().map(|&j| j as u64).collect(),
+        }
+    }
+
+    /// Rebuilds a snapshot from [`WarmStart::describe`] and
+    /// [`WarmStart::describe_factor`] output.
     ///
-    /// The factorization is *not* restored: the first warm solve seeded
-    /// from the result refactorizes from the model's own constraint
-    /// columns, so no numeric basis data is ever trusted from an external
-    /// medium — only the combinatorial basis choice, which is fully
-    /// re-validated here and again by `build_warm`. Returns `None` when
-    /// the description is internally inconsistent (wrong lengths,
-    /// out-of-range or duplicate basis entries, unknown status codes, or
-    /// a basic/nonbasic disagreement between the two vectors).
+    /// No numeric basis data is ever trusted from an external medium:
+    /// the first warm solve seeded from the result replays the `factor`
+    /// history from the model's own constraint columns — one LU, then one
+    /// FTRAN and eta per pivot — which reproduces the live factorization
+    /// bit for bit; without a history, or with one that does not replay
+    /// to this basis, it refactorizes the basis. Returns `None` when the
+    /// description is internally inconsistent (wrong lengths, out-of-range
+    /// or duplicate basis entries, unknown status codes, or a
+    /// basic/nonbasic disagreement between the two vectors).
     pub fn from_description(
         basis: &[u64],
         status: &[u8],
         n_struct: usize,
         m: usize,
+        factor: &[u64],
     ) -> Option<WarmStart> {
         let n_total = n_struct.checked_add(m)?;
         if basis.len() != m || status.len() != n_total {
             return None;
         }
+        let history = factor.iter().map(|&j| usize::try_from(j).ok());
+        let history = Some(history.collect::<Option<Vec<usize>>>()?).filter(|h| !h.is_empty());
         let mut decoded = Vec::with_capacity(n_total);
         for &code in status {
             decoded.push(match code {
@@ -167,7 +187,8 @@ impl WarmStart {
             status: decoded,
             n_struct,
             m,
-            factor: None, // forces a fresh factorization on first use
+            factor: None, // rebuilt from `history` or the basis on first use
+            history,
         })
     }
 }
@@ -687,16 +708,25 @@ impl Tableau {
         }
 
         // Reuse the parent's frozen factorization when its signature
-        // matches this model's basis columns; otherwise (cross-model
-        // reuse, legacy snapshot) factorize from scratch — the one place
-        // a genuinely singular warm basis surfaces.
+        // matches this model's basis columns, or replay a described one
+        // from this model's columns; otherwise (cross-model reuse, no
+        // history) factorize from scratch — the one place a genuinely
+        // singular warm basis surfaces.
         if singular_fault_fired() {
             return Err(SolveError::SingularBasis);
         }
         let sig = basis_signature(&cols, &warm.basis);
-        let factor = match &warm.factor {
-            Some(fz) if fz.sig() == sig && fz.num_rows() == m => BasisFactor::thaw(fz),
-            _ => {
+        let thawed = match (&warm.factor, &warm.history) {
+            (Some(fz), _) if fz.sig() == sig && fz.num_rows() == m => Some(BasisFactor::thaw(fz)),
+            (None, Some(history)) => {
+                lp_metrics().refactorizations.inc();
+                BasisFactor::replay(&cols, &warm.basis, history)
+            }
+            _ => None,
+        };
+        let factor = match thawed {
+            Some(f) => f,
+            None => {
                 lp_metrics().refactorizations.inc();
                 BasisFactor::factorize(&cols, &warm.basis).ok_or(SolveError::SingularBasis)?
             }
@@ -734,21 +764,30 @@ impl Tableau {
 
     /// Captures the current basis for reuse by a related solve. Returns
     /// `None` while any artificial variable is still basic: such a basis
-    /// cannot be re-expressed in a warm tableau (which carries none).
+    /// cannot be re-expressed in a warm tableau (which carries none). A
+    /// factorization whose history touches an artificial column (a cold
+    /// solve's start basis) is replaced by a fresh LU of the final basis,
+    /// so every snapshot's history replays in a warm tableau.
     fn snapshot(&self) -> Option<WarmStart> {
         let nb = self.n_struct + self.m;
         if self.basis.iter().any(|&b| b >= nb) {
             return None;
         }
+        let sig = basis_signature(&self.cols, &self.basis);
+        let frozen = self.factor.freeze(sig);
+        let factor = if frozen.history().all(|j| j < nb) {
+            Some(frozen)
+        } else {
+            lp_metrics().refactorizations.inc();
+            BasisFactor::factorize(&self.cols, &self.basis).map(|f| f.freeze(sig))
+        };
         Some(WarmStart {
             basis: self.basis.clone(),
             status: self.status[..nb].to_vec(),
             n_struct: self.n_struct,
             m: self.m,
-            factor: Some(
-                self.factor
-                    .freeze(basis_signature(&self.cols, &self.basis)),
-            ),
+            factor,
+            history: None,
         })
     }
 
@@ -925,7 +964,7 @@ impl Tableau {
         {
             self.refactorize()
         } else {
-            self.factor.push_eta(r_leave, &self.w);
+            self.factor.push_eta(r_leave, self.basis[r_leave], &self.w);
             Ok(())
         }
     }
@@ -2010,6 +2049,7 @@ mod tests {
             n_struct: 2,
             m: 2,
             factor: None, // forces a fresh factorization of the singular basis
+            history: None,
         };
         let bounds = [(0.0, 3.0), (0.0, 3.0)];
         let ws = Simplex::new().solve_warm(&m, &bounds, &warm).unwrap();

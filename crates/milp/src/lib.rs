@@ -1,19 +1,18 @@
 //! Mixed-integer linear programming via branch-and-bound.
 //!
 //! `certnn-milp` layers integrality on top of the [`certnn_lp`] simplex
-//! solver. It exists to solve the neural-network verification encodings of
-//! `certnn-verify` (big-M ReLU encodings with one binary per unstable
-//! neuron, per Cheng et al., ATVA 2017), but is a general-purpose MILP
-//! solver:
+//! solver. It holds the model type of the neural-network verification
+//! encodings of `certnn-verify` (big-M ReLU encodings with one binary per
+//! unstable neuron, per Cheng et al., ATVA 2017) and a general-purpose
+//! solver that the verifier's tests use as an independent reference:
 //!
 //! * [`MilpModel`] — continuous, binary and general-integer variables,
 //!   sparse rows, single linear objective.
 //! * [`BranchAndBound`] — best-bound-first search with most-fractional
-//!   branching, LP re-solves via [`certnn_lp::Simplex::solve_with_bounds`],
-//!   a rounding dive heuristic for early incumbents, and absolute/relative
-//!   gap, node, time and threshold termination criteria. Threshold
-//!   termination is what makes the *decision* query of the paper's Table II
-//!   ("prove lateral velocity ≤ 3 m/s") cheaper than full optimisation.
+//!   branching, warm-started LP re-solves via [`certnn_lp::Simplex`] and
+//!   absolute/relative gap, node and time termination criteria. The verifier itself runs
+//!   the same branching as one node rule of its own search
+//!   (`certnn_verify::bab`).
 //!
 //! # Example
 //!
@@ -44,7 +43,9 @@ mod model;
 mod solver;
 
 pub use model::{MilpModel, VarKind};
-pub use solver::{BranchAndBound, MilpOptions, MilpSolution, MilpStats, MilpStatus, WarmTracker};
+pub use solver::{
+    BranchAndBound, MilpOptions, MilpSolution, MilpStats, MilpStatus, WarmTracker, INT_TOL,
+};
 
 pub use certnn_lp::{
     Deadline, Degradation, LpError, RowId, RowKind, Sense, SolveError, VarId, WarmStart,
@@ -58,25 +59,12 @@ use std::fmt;
 pub enum MilpError {
     /// Underlying LP layer rejected the model.
     Lp(LpError),
-    /// An integer variable has bounds the solver cannot branch on
-    /// (NaN or inverted).
-    BadIntegerBounds {
-        /// The offending variable.
-        var: VarId,
-        /// Offending lower bound.
-        lo: f64,
-        /// Offending upper bound.
-        hi: f64,
-    },
 }
 
 impl fmt::Display for MilpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MilpError::Lp(e) => write!(f, "lp error: {e}"),
-            MilpError::BadIntegerBounds { var, lo, hi } => {
-                write!(f, "integer variable {var:?} has unusable bounds [{lo}, {hi}]")
-            }
         }
     }
 }
@@ -85,7 +73,6 @@ impl Error for MilpError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             MilpError::Lp(e) => Some(e),
-            MilpError::BadIntegerBounds { .. } => None,
         }
     }
 }

@@ -3,8 +3,8 @@
 use crate::model::MilpModel;
 use crate::MilpError;
 use certnn_lp::{
-    Deadline, Degradation, LpError, LpModel, LpStatus, Sense, Simplex, SimplexOptions, VarId,
-    WarmSolve, WarmStart,
+    Deadline, Degradation, LpError, LpModel, LpStatus, Sense, Simplex, VarId, WarmSolve,
+    WarmStart,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -30,65 +30,29 @@ fn milp_metrics() -> &'static MilpMetrics {
     })
 }
 
-/// Variable-selection rule for branching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BranchRule {
-    /// Branch on the variable closest to half-integrality.
-    #[default]
-    MostFractional,
-    /// Branch on the variable with the best observed objective
-    /// degradation history (product of up/down pseudo-costs), falling
-    /// back to fractionality until history accumulates.
-    PseudoCost,
-}
+/// Relative optimality gap (fraction of the incumbent) at which the
+/// search stops, next to [`MilpOptions::abs_gap`].
+const REL_GAP: f64 = 1e-6;
+
+/// Integrality tolerance: an integer variable within this distance of an
+/// integer counts as integral.
+pub const INT_TOL: f64 = 1e-6;
 
 /// Tuning knobs and termination criteria for [`BranchAndBound`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilpOptions {
-    /// Wall-clock limit; `None` means unlimited.
+    /// Wall-clock limit; `None` means unlimited. Expiry is observed at
+    /// pivot granularity and yields [`MilpStatus::TimeLimit`] with a sound
+    /// `best_bound` tagged [`Degradation::TimedOut`].
     pub time_limit: Option<Duration>,
     /// Explored-node limit; `None` means unlimited.
     pub node_limit: Option<usize>,
     /// Absolute optimality gap at which the search stops.
     pub abs_gap: f64,
-    /// Relative optimality gap (fraction of the incumbent) at which the
-    /// search stops.
-    pub rel_gap: f64,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Stop as soon as an incumbent at least this good (in the model's
-    /// sense) is found. This is the "find a counterexample" fast path of a
-    /// decision query.
-    pub target_objective: Option<f64>,
-    /// Stop as soon as the global bound proves the optimum is strictly
-    /// worse than this value (below it when maximising, above it when
-    /// minimising). This is the "property proven" fast path of a decision
-    /// query.
-    pub bound_cutoff: Option<f64>,
-    /// Objective value of a feasible point known from outside the solve
-    /// (e.g. the cross-thread incumbent of the neuron branch-and-bound).
-    ///
-    /// This is a *pruning-only* external bound: it prunes and closes the gap
-    /// exactly like an incumbent, but it is never reported as a feasible
-    /// point of this model — if the search stops without finding its own
-    /// integral point, `x` and `objective` stay `None`, and callers must
-    /// treat `best_bound`/`Optimal` as "no better solution than the external
-    /// value exists", not as a feasibility claim. The value must be
-    /// achievable *somewhere in the caller's search space* — an overestimate
-    /// makes pruning unsound. Callers seeding this from an incumbent held
-    /// elsewhere must verify the incumbent actually attains the value before
-    /// passing it down.
-    pub initial_bound: Option<f64>,
-    /// Run the rounding dive heuristic for early incumbents.
-    pub dive_heuristic: bool,
-    /// Branching variable selection.
-    pub branch_rule: BranchRule,
     /// Warm-start each node's LP from its parent's optimal basis (dual
     /// simplex re-solve), falling back to a cold solve on singular or
     /// stale bases. Identical verdicts, fewer pivots.
     pub warm_start: bool,
-    /// Options for the underlying LP solves.
-    pub lp: SimplexOptions,
 }
 
 impl Default for MilpOptions {
@@ -97,15 +61,7 @@ impl Default for MilpOptions {
             time_limit: None,
             node_limit: None,
             abs_gap: 1e-6,
-            rel_gap: 1e-6,
-            int_tol: 1e-6,
-            target_objective: None,
-            bound_cutoff: None,
-            initial_bound: None,
-            dive_heuristic: true,
-            branch_rule: BranchRule::default(),
             warm_start: true,
-            lp: SimplexOptions::default(),
         }
     }
 }
@@ -123,11 +79,11 @@ pub enum MilpStatus {
     TimeLimit,
     /// Stopped at the node limit.
     NodeLimit,
-    /// Stopped because an incumbent reached
-    /// [`MilpOptions::target_objective`].
+    /// Stopped because an incumbent reached the search's target
+    /// objective (the neuron branch-and-bound's decision fast path).
     TargetReached,
-    /// Stopped because the global bound crossed
-    /// [`MilpOptions::bound_cutoff`].
+    /// Stopped because the global bound crossed the search's bound
+    /// cutoff (the neuron branch-and-bound's decision fast path).
     BoundCutoff,
     /// The search could not run to a verdict: subtrees were dropped on
     /// unrecoverable numeric failures (or every worker died, in the
@@ -244,27 +200,13 @@ pub struct MilpSolution {
     pub degradation: Degradation,
 }
 
-impl MilpSolution {
-    /// Remaining absolute gap `|best_bound − objective|`, or `+∞` without an
-    /// incumbent.
-    pub fn gap(&self) -> f64 {
-        match self.objective {
-            Some(o) => (self.best_bound - o).abs(),
-            None => f64::INFINITY,
-        }
-    }
-}
-
-/// A best-bound-first branch-and-bound MILP solver.
+/// A best-bound-first branch-and-bound MILP solver with most-fractional
+/// branching.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone, Default)]
 pub struct BranchAndBound {
     opts: MilpOptions,
-    /// Caller-provided basis for the root LP (see [`Self::with_root_warm`]).
-    root_warm: Option<Arc<WarmStart>>,
-    /// Ambient deadline from the caller (see [`Self::with_deadline`]).
-    deadline: Deadline,
 }
 
 /// Open node: bounds override plus the parent's LP bound (score space).
@@ -272,31 +214,9 @@ struct Node {
     bounds: Vec<(f64, f64)>,
     score_bound: f64,
     depth: usize,
-    /// `(variable, went_up)` branch that created this node, for
-    /// pseudo-cost bookkeeping.
-    branched_on: Option<(usize, bool)>,
     /// Optimal basis of the nearest solved ancestor, shared across
     /// siblings; `None` at the root or when no snapshot was available.
     warm: Option<Arc<WarmStart>>,
-}
-
-/// Per-variable pseudo-cost history: observed LP-bound degradation per
-/// branch, split by direction.
-#[derive(Debug, Clone, Copy, Default)]
-struct PseudoCost {
-    up_sum: f64,
-    up_n: usize,
-    down_sum: f64,
-    down_n: usize,
-}
-
-impl PseudoCost {
-    fn avg_up(&self) -> Option<f64> {
-        (self.up_n > 0).then(|| self.up_sum / self.up_n as f64)
-    }
-    fn avg_down(&self) -> Option<f64> {
-        (self.down_n > 0).then(|| self.down_sum / self.down_n as f64)
-    }
 }
 
 /// Max-heap ordering on the score bound (ties: deeper first, to dive).
@@ -328,34 +248,7 @@ impl BranchAndBound {
 
     /// Creates a solver with explicit options.
     pub fn with_options(opts: MilpOptions) -> Self {
-        Self {
-            opts,
-            root_warm: None,
-            deadline: Deadline::none(),
-        }
-    }
-
-    /// Attaches an ambient deadline/cancellation token. Each solve runs
-    /// under this deadline tightened by [`MilpOptions::time_limit`], and
-    /// the token is threaded into every LP solve so expiry is observed at
-    /// pivot granularity, not just between nodes. Expiry yields
-    /// [`MilpStatus::TimeLimit`] with a sound `best_bound` tagged
-    /// [`Degradation::TimedOut`].
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Seeds the root LP with a basis obtained elsewhere on a model of the
-    /// same shape (e.g. the caller's own relaxation solve under nearby
-    /// bounds). Dimension mismatches and stale bases fall back to a cold
-    /// solve, so a wrong seed costs pivots but never correctness. Ignored
-    /// when [`MilpOptions::warm_start`] is off.
-    #[must_use]
-    pub fn with_root_warm(mut self, warm: Arc<WarmStart>) -> Self {
-        self.root_warm = Some(warm);
-        self
+        Self { opts }
     }
 
     /// Solves the model.
@@ -374,11 +267,10 @@ impl BranchAndBound {
             Sense::Minimize => -1.0,
         };
         let int_vars: Vec<VarId> = model.integer_vars();
-        // The ambient deadline tightened by this solve's own budget; the
-        // simplex polls it between pivot batches, so even a single huge LP
-        // cannot overshoot the limit by more than one batch.
-        let deadline = self.deadline.tighten(self.opts.time_limit);
-        let simplex = Simplex::with_options(self.opts.lp).with_deadline(deadline.clone());
+        // The simplex polls the time limit between pivot batches, so even
+        // a single huge LP cannot overshoot it by more than one batch.
+        let deadline = Deadline::none().tighten(self.opts.time_limit);
+        let simplex = Simplex::new().with_deadline(deadline.clone());
         let lp = model.relaxation();
 
         let root_bounds: Vec<(f64, f64)> =
@@ -387,25 +279,16 @@ impl BranchAndBound {
         let mut nodes_explored = 0usize;
         let mut lp_iterations = 0usize;
         let mut incumbent: Option<(Vec<f64>, f64)> = None; // (x, score)
-        // Best feasible score known so far: the incumbent or the
-        // externally supplied one, whichever is better.
-        let external_score = self.opts.initial_bound.map(|v| sense_sign * v);
-        let best_known = |inc: &Option<(Vec<f64>, f64)>| -> Option<f64> {
-            match (inc.as_ref().map(|(_, s)| *s), external_score) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            }
-        };
+        let best_known =
+            |inc: &Option<(Vec<f64>, f64)>| -> Option<f64> { inc.as_ref().map(|(_, s)| *s) };
         let mut heap = BinaryHeap::new();
         heap.push(Node {
             bounds: root_bounds,
             score_bound: f64::INFINITY,
             depth: 0,
-            branched_on: None,
-            warm: self.root_warm.clone(),
+            warm: None,
         });
         let mut tracker = WarmTracker::default();
-        let mut pseudo: Vec<PseudoCost> = vec![PseudoCost::default(); model.num_vars()];
         let mut global_bound = f64::INFINITY; // score space
         let mut status = MilpStatus::Optimal;
         let mut degradation = Degradation::Exact;
@@ -420,17 +303,10 @@ impl BranchAndBound {
             global_bound = node.score_bound;
             if let Some(inc_score) = best_known(&incumbent) {
                 if global_bound <= inc_score + self.opts.abs_gap
-                    || global_bound <= inc_score + self.opts.rel_gap * inc_score.abs()
+                    || global_bound <= inc_score + REL_GAP * inc_score.abs()
                 {
                     status = MilpStatus::Optimal;
                     global_bound = inc_score;
-                    break 'search;
-                }
-            }
-            if let Some(cut) = self.opts.bound_cutoff {
-                let cut_score = sense_sign * cut;
-                if global_bound.is_finite() && global_bound < cut_score {
-                    status = MilpStatus::BoundCutoff;
                     break 'search;
                 }
             }
@@ -538,19 +414,6 @@ impl BranchAndBound {
             let node_score = sense_sign * sol.objective;
             // LP bound can only be <= parent bound (score space).
             let node_score = node_score.min(node.score_bound);
-            // Record the bound degradation caused by the branch that
-            // created this node (pseudo-cost learning).
-            if let Some((var, went_up)) = node.branched_on {
-                let degrade = (node.score_bound - node_score).max(0.0);
-                let pc = &mut pseudo[var];
-                if went_up {
-                    pc.up_sum += degrade;
-                    pc.up_n += 1;
-                } else {
-                    pc.down_sum += degrade;
-                    pc.down_n += 1;
-                }
-            }
 
             if let Some(inc_score) = best_known(&incumbent) {
                 if node_score <= inc_score + self.opts.abs_gap {
@@ -558,27 +421,15 @@ impl BranchAndBound {
                 }
             }
 
-            // Pick the branching variable.
+            // Pick the most fractional variable (score 0 = half-integral).
             let mut branch: Option<(VarId, f64, f64)> = None; // (var, value, score: smaller=better)
             for &v in &int_vars {
                 let val = sol.x[v.index()];
                 let frac = (val - val.round()).abs();
-                if frac <= self.opts.int_tol {
+                if frac <= INT_TOL {
                     continue;
                 }
-                let score = match self.opts.branch_rule {
-                    // 0 = most fractional wins.
-                    BranchRule::MostFractional => (val - val.floor() - 0.5).abs(),
-                    BranchRule::PseudoCost => {
-                        let pc = &pseudo[v.index()];
-                        let up_frac = val.ceil() - val;
-                        let down_frac = val - val.floor();
-                        let up = pc.avg_up().unwrap_or(1.0) * up_frac;
-                        let down = pc.avg_down().unwrap_or(1.0) * down_frac;
-                        // Product rule; negate so "smaller is better".
-                        -(up.max(1e-9) * down.max(1e-9))
-                    }
-                };
+                let score = (val - val.floor() - 0.5).abs();
                 match branch {
                     Some((_, _, best)) if score >= best => {}
                     _ => branch = Some((v, val, score)),
@@ -590,41 +441,9 @@ impl BranchAndBound {
                     // Integral: candidate incumbent.
                     if update_incumbent(&mut incumbent, sol.x.clone(), node_score) {
                         obs_incumbents += 1;
-                        if let Some(target) = self.opts.target_objective {
-                            let target_score = sense_sign * target;
-                            if node_score >= target_score {
-                                status = MilpStatus::TargetReached;
-                                break 'search;
-                            }
-                        }
                     }
                 }
                 Some((v, val, _)) => {
-                    // Dive heuristic: round-and-fix for a quick incumbent.
-                    if self.opts.dive_heuristic
-                        && (incumbent.is_none() || nodes_explored.is_multiple_of(64))
-                    {
-                        if let Some((hx, hscore)) = self.dive(
-                            model,
-                            &simplex,
-                            &node.bounds,
-                            &int_vars,
-                            &sol.x,
-                            snapshot.as_deref(),
-                            &mut lp_iterations,
-                            &mut tracker,
-                        ) {
-                            if update_incumbent(&mut incumbent, hx, hscore) {
-                                obs_incumbents += 1;
-                                if let Some(target) = self.opts.target_objective {
-                                    if hscore >= sense_sign * target {
-                                        status = MilpStatus::TargetReached;
-                                        break 'search;
-                                    }
-                                }
-                            }
-                        }
-                    }
                     let (lo, hi) = node.bounds[v.index()];
                     let down = val.floor();
                     let up = val.ceil();
@@ -632,25 +451,23 @@ impl BranchAndBound {
                     // exists (e.g. the LP needed artificials) the nearest
                     // solved ancestor's basis is still better than nothing.
                     let child_warm = snapshot.clone().or_else(|| node.warm.clone());
-                    if down >= lo - self.opts.int_tol {
+                    if down >= lo - INT_TOL {
                         let mut b = node.bounds.clone();
                         b[v.index()] = (lo, down.min(hi));
                         heap.push(Node {
                             bounds: b,
                             score_bound: node_score,
                             depth: node.depth + 1,
-                            branched_on: Some((v.index(), false)),
                             warm: child_warm.clone(),
                         });
                     }
-                    if up <= hi + self.opts.int_tol {
+                    if up <= hi + INT_TOL {
                         let mut b = node.bounds.clone();
                         b[v.index()] = (up.max(lo), hi);
                         heap.push(Node {
                             bounds: b,
                             score_bound: node_score,
                             depth: node.depth + 1,
-                            branched_on: Some((v.index(), true)),
                             warm: child_warm,
                         });
                     }
@@ -659,11 +476,7 @@ impl BranchAndBound {
         }
 
         if heap.is_empty() && status == MilpStatus::Optimal {
-            // Search exhausted: the best known feasible score is optimal.
-            // With only an external `initial_bound` (no integral point of
-            // our own), the result is still Optimal — the optimum cannot
-            // beat the external value by more than the gap — but `x`
-            // stays `None`.
+            // Search exhausted: the incumbent is optimal.
             global_bound = match best_known(&incumbent) {
                 Some(s) => s,
                 None => {
@@ -688,7 +501,7 @@ impl BranchAndBound {
                     global_bound = dropped_bound;
                     let closed = best_known(&incumbent).is_some_and(|inc| {
                         global_bound <= inc + self.opts.abs_gap
-                            || global_bound <= inc + self.opts.rel_gap * inc.abs()
+                            || global_bound <= inc + REL_GAP * inc.abs()
                     });
                     if !closed {
                         status = MilpStatus::Aborted;
@@ -721,58 +534,6 @@ impl BranchAndBound {
             elapsed: start.elapsed(),
             degradation,
         })
-    }
-
-    /// Rounds every integer variable to the nearest integer, fixes it, and
-    /// re-solves the LP. Returns a feasible integral point (score space) on
-    /// success.
-    #[allow(clippy::too_many_arguments)]
-    fn dive(
-        &self,
-        model: &MilpModel,
-        simplex: &Simplex,
-        bounds: &[(f64, f64)],
-        int_vars: &[VarId],
-        relax_x: &[f64],
-        warm: Option<&WarmStart>,
-        lp_iterations: &mut usize,
-        tracker: &mut WarmTracker,
-    ) -> Option<(Vec<f64>, f64)> {
-        let mut fixed = bounds.to_vec();
-        for &v in int_vars {
-            let (lo, hi) = bounds[v.index()];
-            let r = relax_x[v.index()].round().clamp(lo, hi);
-            fixed[v.index()] = (r, r);
-        }
-        // The dive only pins bounds, so the node basis warm-starts it too.
-        let sol = match (self.opts.warm_start, warm) {
-            (true, Some(w)) => {
-                let ws = simplex.solve_warm(model.relaxation(), &fixed, w).ok()?;
-                if ws.warm_used {
-                    tracker.record_warm(ws.solution.iterations);
-                } else {
-                    tracker.record_cold(ws.solution.iterations);
-                }
-                ws.solution
-            }
-            _ => {
-                let sol = simplex.solve_with_bounds(model.relaxation(), &fixed).ok()?;
-                tracker.record_cold(sol.iterations);
-                sol
-            }
-        };
-        if sol.status != LpStatus::Optimal {
-            return None;
-        }
-        *lp_iterations += sol.iterations;
-        if !model.is_feasible(&sol.x, self.opts.int_tol.max(1e-6)) {
-            return None;
-        }
-        let sense_sign = match model.sense() {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
-        };
-        Some((sol.x.clone(), sense_sign * sol.objective))
     }
 }
 
@@ -830,7 +591,7 @@ mod tests {
         let sol = BranchAndBound::new().solve(&knapsack()).unwrap();
         assert_eq!(sol.status, MilpStatus::Optimal);
         assert!((sol.objective.unwrap() - 23.0).abs() < 1e-6);
-        assert!(sol.gap() < 1e-5);
+        assert!((sol.best_bound - 23.0).abs() < 1e-5);
         let x = sol.x.unwrap();
         assert!((x[0] - 1.0).abs() < 1e-6 && (x[1] - 1.0).abs() < 1e-6);
     }
@@ -856,8 +617,7 @@ mod tests {
         m.add_row("lo", &[(x, 1.0)], RowKind::Ge, 2.0).unwrap();
         let sol = BranchAndBound::new().solve(&m).unwrap();
         assert_eq!(sol.status, MilpStatus::Infeasible);
-        assert!(sol.x.is_none());
-        assert!(sol.gap().is_infinite());
+        assert!(sol.x.is_none() && sol.objective.is_none());
     }
 
     #[test]
@@ -893,103 +653,9 @@ mod tests {
     }
 
     #[test]
-    fn target_objective_stops_early() {
-        let opts = MilpOptions {
-            target_objective: Some(15.0),
-            ..MilpOptions::default()
-        };
-        let sol = BranchAndBound::with_options(opts).solve(&knapsack()).unwrap();
-        assert!(matches!(
-            sol.status,
-            MilpStatus::TargetReached | MilpStatus::Optimal
-        ));
-        assert!(sol.objective.unwrap() >= 15.0);
-    }
-
-    #[test]
-    fn bound_cutoff_proves_limit() {
-        // Capacity 15 makes the root LP fractional (bound ~24.4) while the
-        // MILP optimum is 23. A cutoff of 23.6 sits strictly between them,
-        // so the search must stop with BoundCutoff before closing the gap.
-        let mut m = MilpModel::new(Sense::Maximize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        let d = m.add_binary("d");
-        m.set_objective(&[(a, 10.0), (b, 13.0), (c, 7.0), (d, 4.0)]);
-        m.add_row(
-            "cap",
-            &[(a, 6.0), (b, 8.0), (c, 5.0), (d, 3.0)],
-            RowKind::Le,
-            15.0,
-        )
-        .unwrap();
-        let opts = MilpOptions {
-            bound_cutoff: Some(23.6),
-            dive_heuristic: false,
-            ..MilpOptions::default()
-        };
-        let sol = BranchAndBound::with_options(opts).solve(&m).unwrap();
-        assert_eq!(sol.status, MilpStatus::BoundCutoff);
-        assert!(sol.best_bound < 23.6);
-        // The proven bound is still a valid upper bound on the optimum (23).
-        assert!(sol.best_bound >= 23.0 - 1e-6);
-    }
-
-    #[test]
-    fn initial_bound_prunes_without_becoming_solution() {
-        // Handing the solver the true optimum as an external feasible
-        // value closes the search by pruning; the result must be Optimal
-        // without inventing a solution point.
-        let opts = MilpOptions {
-            initial_bound: Some(23.0),
-            dive_heuristic: false,
-            ..MilpOptions::default()
-        };
-        let sol = BranchAndBound::with_options(opts).solve(&knapsack()).unwrap();
-        assert_eq!(sol.status, MilpStatus::Optimal);
-        assert!(sol.best_bound <= 23.0 + 1e-6);
-        if let Some(obj) = sol.objective {
-            assert!((obj - 23.0).abs() < 1e-6);
-        }
-
-        // A loose external bound must not change the answer.
-        let opts = MilpOptions {
-            initial_bound: Some(10.0),
-            ..MilpOptions::default()
-        };
-        let sol = BranchAndBound::with_options(opts).solve(&knapsack()).unwrap();
-        assert_eq!(sol.status, MilpStatus::Optimal);
-        assert!((sol.objective.unwrap() - 23.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn initial_bound_respects_sense_when_minimizing() {
-        // min 3a + 2b s.t. a + b >= 1 has optimum 2; an external feasible
-        // value of 2 closes the gap in the minimisation sense.
-        let mut m = MilpModel::new(Sense::Minimize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        m.set_objective(&[(a, 3.0), (b, 2.0)]);
-        m.add_row("cover", &[(a, 1.0), (b, 1.0)], RowKind::Ge, 1.0)
-            .unwrap();
-        let opts = MilpOptions {
-            initial_bound: Some(2.0),
-            dive_heuristic: false,
-            ..MilpOptions::default()
-        };
-        let sol = BranchAndBound::with_options(opts).solve(&m).unwrap();
-        assert_eq!(sol.status, MilpStatus::Optimal);
-        // best_bound is a valid lower bound on the minimum.
-        assert!(sol.best_bound <= 2.0 + 1e-6);
-        assert!(sol.best_bound >= 2.0 - 1e-6);
-    }
-
-    #[test]
     fn node_limit_respected() {
         let opts = MilpOptions {
             node_limit: Some(1),
-            dive_heuristic: false,
             ..MilpOptions::default()
         };
         let mut m = MilpModel::new(Sense::Maximize);
@@ -1029,44 +695,6 @@ mod tests {
         let sol = BranchAndBound::new().solve(&knapsack()).unwrap();
         // Maximisation: bound >= objective.
         assert!(sol.best_bound >= sol.objective.unwrap() - 1e-6);
-    }
-
-    #[test]
-    fn pseudo_cost_branching_reaches_the_same_optimum() {
-        let mut m = MilpModel::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8).map(|i| m.add_binary(&format!("b{i}"))).collect();
-        m.set_objective(
-            &vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 3.0 + ((i * 7) % 5) as f64))
-                .collect::<Vec<_>>(),
-        );
-        m.add_row(
-            "cap",
-            &vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 2.0 + (i % 3) as f64))
-                .collect::<Vec<_>>(),
-            RowKind::Le,
-            11.0,
-        )
-        .unwrap();
-        let frac = BranchAndBound::new().solve(&m).unwrap();
-        let opts = MilpOptions {
-            branch_rule: BranchRule::PseudoCost,
-            dive_heuristic: false,
-            ..MilpOptions::default()
-        };
-        let pc = BranchAndBound::with_options(opts).solve(&m).unwrap();
-        assert_eq!(pc.status, MilpStatus::Optimal);
-        assert!(
-            (pc.objective.unwrap() - frac.objective.unwrap()).abs() < 1e-6,
-            "pseudo-cost {:?} vs most-fractional {:?}",
-            pc.objective,
-            frac.objective
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use certnn_lp::fault::{self, FaultPlan};
 use certnn_milp::{
-    BranchAndBound, Deadline, Degradation, MilpModel, MilpOptions, MilpStatus, RowKind, Sense,
+    BranchAndBound, Degradation, MilpModel, MilpOptions, MilpStatus, RowKind, Sense,
 };
 use std::time::{Duration, Instant};
 
@@ -168,13 +168,15 @@ fn stalled_pivots_plus_deadline_return_promptly_with_timed_out_tag() {
 }
 
 #[test]
-fn ambient_cancellation_stops_the_search() {
+fn expired_time_limit_stops_the_search() {
     let _g = fault::serial_guard();
     fault::clear();
     let (m, opt) = branchy();
-    let d = Deadline::cancellable();
-    d.cancel();
-    let sol = BranchAndBound::new().with_deadline(d).solve(&m).unwrap();
+    let opts = MilpOptions {
+        time_limit: Some(Duration::ZERO),
+        ..MilpOptions::default()
+    };
+    let sol = BranchAndBound::with_options(opts).solve(&m).unwrap();
     assert_eq!(sol.status, MilpStatus::TimeLimit);
     assert_eq!(sol.degradation, Degradation::TimedOut);
     assert!(sol.best_bound >= opt - 1e-6);

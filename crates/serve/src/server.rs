@@ -103,7 +103,7 @@ macro_rules! serve_stats {
 
         impl ServeStats {
             /// Name-sorted snapshot of every counter. Generated from the
-            /// same list as the struct fields — see [`serve_stats!`].
+            /// same list as the struct fields by the `serve_stats!` macro.
             pub fn snapshot(&self) -> Vec<(String, u64)> {
                 let mut v = vec![
                     $( (

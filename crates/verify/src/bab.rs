@@ -14,9 +14,13 @@
 //!   its upper surrogate; a true forward pass through that corner is a
 //!   genuine lower bound, so every node doubles as a heuristic.
 //! * **Completeness** — once few enough neurons remain unstable, the node
-//!   is handed to the exact big-M MILP with all decided phases fixed
-//!   (including those *implied* by the node's propagated bounds), which
-//!   closes the remaining gap exactly.
+//!   goes back into the frontier under the *LP rule*, with its decided
+//!   phases (forced plus those *implied* by the node's propagated bounds)
+//!   pinned as big-M binaries. An LP-rule node solves the encoding's LP,
+//!   prunes on it, offers its input point as an incumbent, closes when
+//!   the point is integral and otherwise branches on the most fractional
+//!   binary: the exact big-M MILP, searched in the same tree with the
+//!   same workers, checkpoints, panic isolation and dropped-bound fold.
 //!
 //! # Parallel search
 //!
@@ -24,9 +28,8 @@
 //! work-sharing **shared best-first heap** (`std::thread::scope` only —
 //! no external runtime):
 //!
-//! * Workers pop the globally best node, process it (symbolic analysis,
-//!   optional LP bounding, sub-MILP hand-off, phase branching) without
-//!   holding the lock, and push surviving children back.
+//! * Workers pop the globally best node, process it under its rule
+//!   without holding the lock, and push surviving children back.
 //! * The incumbent value lives in an `AtomicU64` (f64 bit-cast, updated
 //!   only under the incumbent mutex, monotone non-decreasing), so pruning
 //!   decisions propagate to every worker instantly; a stale read is
@@ -40,9 +43,6 @@
 //!   contract is the same as the serial engine's: `best_value` is a real
 //!   input's objective and `upper_bound` dominates the true maximum up to
 //!   `abs_gap`.
-//! * Sub-MILP calls receive the cross-thread incumbent through
-//!   [`MilpOptions::initial_bound`], so exact resolutions prune with
-//!   knowledge gathered by *other* workers.
 //!
 //! With `threads == 1` the engine visits nodes in exactly the serial
 //! best-first order. With more workers the visit order (and therefore
@@ -50,11 +50,12 @@
 //! but the returned optimum obeys the same `abs_gap` contract.
 //!
 //! This is the only search engine. The paper's pure big-M MILP is its
-//! `milp_threshold = usize::MAX` configuration: the root node goes
-//! straight to the exact sub-MILP over the whole encoding. Linear scenario
-//! constraints live in the encoding, so node LPs and sub-MILPs respect
-//! them; the symbolic bounds see only the box, which keeps them sound, and
-//! a candidate incumbent must satisfy every constraint.
+//! `milp_threshold = usize::MAX` configuration: the root node switches
+//! straight to the LP rule over the whole encoding, so that search too
+//! runs on every worker and checkpoints mid-solve. Linear scenario
+//! constraints live in the encoding, so every node LP respects them; the
+//! symbolic bounds see only the box, which keeps them sound, and a
+//! candidate incumbent must satisfy every constraint.
 
 use crate::bounds::{interval_objective_ceiling, PhaseAnalyzer, PhasedAnalysis};
 use crate::checkpoint::{
@@ -64,10 +65,10 @@ use crate::encoder::{encode, BoundMethod, Encoding};
 use crate::property::{InputSpec, LinearObjective};
 use crate::VerifyError;
 use certnn_linalg::Vector;
-use certnn_lp::{Deadline, Degradation, LpError, LpStatus, Simplex, VarId, WarmStart};
-use certnn_milp::{
-    BranchAndBound, MilpError, MilpModel, MilpOptions, MilpStats, MilpStatus, WarmTracker,
+use certnn_lp::{
+    Deadline, Degradation, LpError, LpStatus, Simplex, VarId, WarmSolve, WarmStart,
 };
+use certnn_milp::{MilpError, MilpModel, MilpStats, MilpStatus, WarmTracker, INT_TOL};
 use certnn_nn::network::Network;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -88,6 +89,10 @@ struct BabMetrics {
     lp_skipped: certnn_obs::Counter,
     lp_forced: certnn_obs::Counter,
     frontier_depth: certnn_obs::Gauge,
+    /// Hand-offs to the LP rule and LP-rule nodes, under the names the
+    /// standalone MILP solver reports its solves and nodes.
+    milp_solves: certnn_obs::Counter,
+    milp_nodes: certnn_obs::Counter,
 }
 
 fn bab_metrics() -> &'static BabMetrics {
@@ -101,6 +106,8 @@ fn bab_metrics() -> &'static BabMetrics {
         lp_skipped: certnn_obs::counter("bab.lp_skipped"),
         lp_forced: certnn_obs::counter("bab.lp_forced"),
         frontier_depth: certnn_obs::gauge("bab.frontier_depth"),
+        milp_solves: certnn_obs::counter("milp.solves"),
+        milp_nodes: certnn_obs::counter("milp.nodes"),
     })
 }
 
@@ -161,9 +168,9 @@ pub struct BabOptions {
     pub node_limit: Option<usize>,
     /// Absolute gap at which the search stops as optimal.
     pub abs_gap: f64,
-    /// Hand a node to the exact sub-MILP once at most this many neurons
-    /// remain unstable. `usize::MAX` hands the root over: the paper's pure
-    /// big-M MILP.
+    /// Switch a node to the LP rule (the big-M MILP's own branching, see
+    /// the module docs) once at most this many neurons remain unstable.
+    /// `usize::MAX` switches the root: the paper's pure big-M MILP.
     pub milp_threshold: usize,
     /// Stop as soon as an incumbent reaches this value.
     pub target_objective: Option<f64>,
@@ -173,21 +180,22 @@ pub struct BabOptions {
     /// reproduces the serial best-first visit order exactly; `0` means
     /// one worker per available core (see [`resolve_threads`]).
     pub threads: usize,
-    /// Warm-start LP bounding solves from a per-worker basis cache and
-    /// warm-start sub-MILP trees from parent bases. Verdict-preserving;
-    /// disable only to collect a cold baseline.
+    /// Warm-start every node LP from the nearest solved ancestor's basis
+    /// (phase-rule nodes without one fall back to a per-worker cache).
+    /// Verdict-preserving; disable only to collect a cold baseline.
     pub warm_start: bool,
     /// Coordinate-descent rounds of the α-optimized bounding layer per
     /// node (see [`PhaseAnalyzer::analyze_tuned`]). `0` disables tuning
     /// and reproduces the fixed-slope heuristic bit-for-bit; the root
     /// encoding then also falls back to [`BoundMethod::Symbolic`].
     pub alpha_iters: usize,
-    /// Elide the standalone LP relaxation where it is redundant: at nodes
-    /// handed to the exact sub-MILP (whose root solve is that same
-    /// relaxation) and at nodes whose α-tightened bound already sits at
-    /// or below [`BabOptions::bound_cutoff`]. Everywhere else the big-M
-    /// LP relaxation (node-tightened variable bounds, phase fixings)
-    /// runs and the tighter of the symbolic and LP bounds is kept.
+    /// Elide the phase rule's LP relaxation where it is redundant: at
+    /// nodes handed to the LP rule (whose first LP is that relaxation with
+    /// the decided binaries pinned) and at nodes whose α-tightened bound
+    /// already sits at or below [`BabOptions::bound_cutoff`]. Everywhere
+    /// else the big-M LP relaxation (node-tightened variable bounds, phase
+    /// fixings) runs and the tighter of the symbolic and LP bounds is
+    /// kept.
     /// Metered as `bab.lp_skipped` vs `bab.lp_forced`.
     /// Sound: the symbolic bound alone is a valid node bound; the LP only
     /// ever tightens it. Disable to reproduce LP-at-every-node behaviour.
@@ -222,11 +230,11 @@ pub struct BabResult {
     pub witness: Option<Vector>,
     /// Proven upper bound on the maximum.
     pub upper_bound: f64,
-    /// Phase nodes explored.
+    /// Search nodes explored under either rule.
     pub nodes: usize,
-    /// Exact sub-MILP solves performed.
+    /// Hand-offs from the phase rule to the LP rule.
     pub milp_calls: usize,
-    /// Simplex pivots inside sub-MILPs.
+    /// Simplex pivots across every node LP.
     pub lp_iterations: usize,
     /// Statistics of the underlying MILP encoding (for reporting).
     pub encoding_stats: crate::encoder::EncodingStats,
@@ -240,8 +248,8 @@ pub struct BabResult {
     /// comparable across thread counts; it falls back to `nodes / elapsed`
     /// only when no node was ever timed.
     pub nodes_per_sec: f64,
-    /// Warm-start accounting aggregated over all workers: the per-worker
-    /// LP bounding caches plus every sub-MILP tree.
+    /// Warm-start accounting of every node LP, aggregated over all
+    /// workers.
     pub warm_stats: MilpStats,
     /// Nodes whose LP relaxation the skip gate elided (see
     /// [`BabOptions::lp_skip`]). `0` when the gate is off.
@@ -279,8 +287,12 @@ struct Node {
     /// Tuned α slopes of the nearest tuned ancestor, shared across
     /// siblings — the warm start of this node's own α descent. One fixed
     /// phase barely moves the optimal slopes, so children converge in a
-    /// round or two. `None` when tuning is off (`alpha_iters == 0`).
+    /// round or two. `None` when tuning is off (`alpha_iters == 0`) and
+    /// under the LP rule.
     alpha: Option<Arc<Vec<f64>>>,
+    /// `true` for an LP-rule node, whose phases are pinned binaries of
+    /// the big-M encoding; `false` for a phase-rule node.
+    lp_rule: bool,
 }
 
 impl PartialEq for Node {
@@ -319,10 +331,9 @@ struct SearchCtx<'a> {
     simplex: &'a Simplex,
     flat_map: &'a [(usize, usize)],
     obj_seed: &'a Vector,
-    start: Instant,
     /// Search deadline (ambient tightened by [`BabOptions::time_limit`]),
     /// polled between nodes here and between pivot batches inside every
-    /// LP/sub-MILP solve.
+    /// node LP.
     deadline: &'a Deadline,
     /// Id of the run's `bab.run` span, so worker spans on other threads
     /// can parent to it in the trace.
@@ -444,18 +455,17 @@ struct SearchState {
 /// Per-worker statistic accumulators, merged after the join.
 #[derive(Default)]
 struct WorkerCounters {
+    /// Hand-offs from the phase rule to the LP rule.
     milp_calls: usize,
+    /// LP-rule nodes processed.
+    lp_rule_nodes: usize,
     lp_iterations: usize,
-    /// Warm/cold accounting of this worker's LP bounding solves.
+    /// Warm/cold accounting of this worker's node LPs.
     tracker: WarmTracker,
-    /// Warm-start statistics reported by this worker's sub-MILP trees.
-    milp_stats: MilpStats,
-    /// Simplex pivots inside sub-MILP trees (diagnostic split).
-    submilp_pivots: usize,
     /// Worst degradation observed by this worker's solves.
     degradation: Degradation,
-    /// Wall time this worker spent bounding nodes (analysis, LP
-    /// relaxation, sub-MILP), nanoseconds.
+    /// Wall time this worker spent bounding nodes (analysis and node
+    /// LPs, the whole of an LP-rule node), nanoseconds.
     bound_nanos: u64,
     /// Wall time this worker spent selecting branch variables and
     /// building children, nanoseconds.
@@ -478,22 +488,24 @@ struct NodeOutcome {
     /// Bound of a subtree given up on an unrecoverable numeric failure;
     /// folded into the final `upper_bound` without halting the search.
     dropped: Option<f64>,
+    /// The node itself, unprocessed: its LP met the deadline. It goes
+    /// back into the frontier as it was and is not counted, so a snapshot
+    /// keeps it and a resumed search processes it exactly once.
+    requeue: Option<Node>,
 }
 
 impl NodeOutcome {
     fn halt(status: MilpStatus, bound: f64) -> Self {
         Self {
-            children: Vec::new(),
             halt: Some((status, bound)),
-            dropped: None,
+            ..Self::default()
         }
     }
 
     fn dropped(bound: f64) -> Self {
         Self {
-            children: Vec::new(),
-            halt: None,
             dropped: Some(bound),
+            ..Self::default()
         }
     }
 }
@@ -572,35 +584,6 @@ impl SearchState {
             }
         }
         v
-    }
-
-    /// Incumbent value for seeding a sub-MILP's
-    /// [`MilpOptions::initial_bound`], re-verified before use: the stored
-    /// witness must lie inside the input box, satisfy the constraints, and
-    /// a fresh forward pass must reproduce the stored value. An incumbent
-    /// that fails any check is never handed down as a feasible-point
-    /// claim — the sub-MILP then simply runs unseeded, which is always
-    /// sound.
-    fn verified_seed(&self, ctx: &SearchCtx) -> Option<f64> {
-        let inc = self.incumbent.lock().unwrap_or_else(|e| e.into_inner());
-        let (x, v) = inc.as_ref()?;
-        let input_box = ctx.spec.bounds();
-        if x.len() != input_box.len() || !satisfies_constraints(ctx.spec, x) {
-            return None;
-        }
-        for (xi, iv) in x.iter().zip(input_box) {
-            if *xi < iv.lo() - 1e-9 || *xi > iv.hi() + 1e-9 {
-                return None;
-            }
-        }
-        let out = ctx.net.forward(x).ok()?;
-        let recomputed = ctx.objective.eval(&out);
-        if !recomputed.is_finite() || (recomputed - v).abs() > 1e-6 {
-            return None;
-        }
-        // Seed the smaller of the two: the bound must never overstate
-        // what the witness actually achieves.
-        Some(recomputed.min(*v))
     }
 
     /// Claims the next node for worker `wid`, or `None` when the search
@@ -708,6 +691,10 @@ impl SearchState {
             if let Some(bound) = outcome.dropped {
                 f.dropped = f.dropped.max(bound);
             }
+            if let Some(node) = outcome.requeue {
+                f.nodes -= 1;
+                f.heap.push(node);
+            }
             f.active[wid] = f64::NEG_INFINITY;
             f.claimed[wid] = None;
             f.in_flight -= 1;
@@ -729,7 +716,7 @@ impl SearchState {
         if f.halt.is_some() || f.failed {
             return None;
         }
-        let due_nodes = f.nodes - f.last_ckpt_nodes >= rt.every_nodes;
+        let due_nodes = f.nodes.saturating_sub(f.last_ckpt_nodes) >= rt.every_nodes;
         let due_time = f.last_ckpt_at.elapsed() >= rt.every;
         if !due_nodes && !due_time {
             return None;
@@ -893,8 +880,8 @@ fn serialize_and_write(rt: &CkptRuntime, job: &SnapshotJob, incumbent: Option<(V
 
 /// Converts a [`SnapshotJob`] into the serializable [`Snapshot`], deduping
 /// warm-start bases by `Arc` identity (siblings share their parent's) and
-/// describing each as a pure basis signature — factorizations never leave
-/// the process.
+/// describing each by its basis and factorization history — numeric
+/// factorizations never leave the process.
 fn build_snapshot(
     rt: &CkptRuntime,
     job: &SnapshotJob,
@@ -915,6 +902,7 @@ fn build_snapshot(
                         n_struct: (status.len() - basis.len()) as u64,
                         basis,
                         status,
+                        factor: w.describe_factor(),
                     });
                     (warm_pool.len() - 1) as u64
                 })
@@ -935,6 +923,7 @@ fn build_snapshot(
                     .collect(),
                 alpha: n.alpha.as_deref().cloned(),
                 warm_idx,
+                lp_rule: n.lp_rule,
             }
         })
         .collect();
@@ -992,17 +981,18 @@ fn load_resume(
 }
 
 /// Rebuilds live frontier nodes from a vetted snapshot. Warm starts are
-/// reconstructed from their basis signatures with no factorization — the
-/// first LP solve re-factorizes from the model's own columns. A basis
-/// description the LP layer rejects degrades that one node to a cold
-/// solve (`None`), which is always sound.
+/// reconstructed from their basis descriptions with no factorization — the
+/// first LP solve replays the factorization history from the model's own
+/// columns, so the resumed search computes what the uninterrupted one
+/// would have. A basis description the LP layer rejects degrades that one
+/// node to a cold solve (`None`), which is always sound.
 fn rebuild_frontier(snap: &Snapshot) -> Vec<Node> {
     let warm_arcs: Vec<Option<Arc<WarmStart>>> = snap
         .warm_pool
         .iter()
         .map(|d| {
-            WarmStart::from_description(&d.basis, &d.status, d.n_struct as usize, d.m as usize)
-                .map(Arc::new)
+            let (n_struct, m) = (d.n_struct as usize, d.m as usize);
+            WarmStart::from_description(&d.basis, &d.status, n_struct, m, &d.factor).map(Arc::new)
         })
         .collect();
     snap.frontier
@@ -1027,6 +1017,7 @@ fn rebuild_frontier(snap: &Snapshot) -> Vec<Node> {
                 .alpha
                 .as_ref()
                 .map(|a| Arc::new(a.iter().map(|v| v.clamp(0.0, 1.0)).collect())),
+            lp_rule: sn.lp_rule,
         })
         .collect()
 }
@@ -1039,8 +1030,9 @@ fn rebuild_frontier(snap: &Snapshot) -> Vec<Node> {
 /// # Errors
 ///
 /// Returns [`VerifyError::SpecMismatch`] if the spec does not match the
-/// network, [`VerifyError::CounterexampleMismatch`] if a sub-MILP point
-/// disagrees with the network's forward pass (an encoder bug), and the
+/// network, [`VerifyError::CounterexampleMismatch`] if an integral
+/// LP-rule point disagrees with the network's forward pass (an encoder
+/// bug), and the
 /// usual structural errors otherwise.
 pub fn bab_maximize(
     net: &Network,
@@ -1056,7 +1048,7 @@ pub fn bab_maximize(
 ///
 /// The effective deadline is the ambient one tightened by
 /// [`BabOptions::time_limit`]; it is polled between nodes and inside every
-/// LP and sub-MILP solve, and expiry yields a sound bound tagged
+/// node LP, and expiry yields a sound bound tagged
 /// [`Degradation::TimedOut`].
 ///
 /// Under a [`CheckpointPolicy`] the search snapshots its frontier at the
@@ -1107,7 +1099,7 @@ pub fn bab_maximize_ckpt(
         Vector::from(v)
     };
 
-    // Encoding for the exact sub-MILP fallback (built once). With α
+    // Encoding for node LPs and the LP rule (built once). With α
     // tuning on, the encoder runs the same descent over whole-network
     // bounds: more stably-fixed neurons (fewer binaries) and tighter
     // big-M constants. `alpha_iters == 0` keeps the plain symbolic
@@ -1120,7 +1112,7 @@ pub fn bab_maximize_ckpt(
         BoundMethod::Symbolic
     };
     let enc: Encoding = encode(net, spec, bound_method)?;
-    // Objective-bearing model for node LP relaxations and sub-MILPs.
+    // Objective-bearing model for every node LP.
     let obj_model = {
         let mut m = enc.milp.clone();
         let terms: Vec<_> = objective
@@ -1149,7 +1141,6 @@ pub fn bab_maximize_ckpt(
         simplex: &simplex,
         flat_map: &flat_map,
         obj_seed: &obj_seed,
-        start,
         deadline: &deadline,
         obs_run_span: run_span.id(),
     };
@@ -1157,7 +1148,7 @@ pub fn bab_maximize_ckpt(
     let root_phases = vec![None; total_relu];
     // Tuned α slopes tighten the node bounds that prune and order neuron
     // branching. A root hand-off (the pure big-M MILP) gives the whole
-    // query to its sub-MILP, so it skips the tuning; its encoding keeps
+    // query to the LP rule, so it skips the tuning; its encoding keeps
     // the α presolve all the same.
     let search_alpha_iters = if opts.milp_threshold == usize::MAX {
         0
@@ -1258,6 +1249,7 @@ pub fn bab_maximize_ckpt(
             retries: 0,
             warm: None,
             alpha: root_alpha.map(Arc::new),
+            lp_rule: false,
         }],
     };
     let state = SearchState::new(threads_used, roots, init, ckpt_rt);
@@ -1307,6 +1299,7 @@ pub fn bab_maximize_ckpt(
 
     let fold_phase = certnn_obs::phase(certnn_obs::Phase::Fold);
     let mut milp_calls = 0usize;
+    let mut lp_rule_nodes = 0usize;
     let mut lp_iterations = 0usize;
     let mut lp_skipped = 0usize;
     let mut lp_forced = 0usize;
@@ -1316,6 +1309,7 @@ pub fn bab_maximize_ckpt(
     for (wid, result) in worker_results.into_iter().enumerate() {
         let counters = result?;
         milp_calls += counters.milp_calls;
+        lp_rule_nodes += counters.lp_rule_nodes;
         lp_iterations += counters.lp_iterations;
         lp_skipped += counters.lp_skipped;
         lp_forced += counters.lp_forced;
@@ -1333,15 +1327,12 @@ pub fn bab_maximize_ckpt(
                 ("lp_pivots_saved", lp_stats.pivots_saved.into()),
                 ("lp_skipped", counters.lp_skipped.into()),
                 ("lp_forced", counters.lp_forced.into()),
-                ("submilp_warm_solves", counters.milp_stats.warm_solves.into()),
-                ("submilp_cold_solves", counters.milp_stats.cold_solves.into()),
-                ("submilp_pivots", counters.submilp_pivots.into()),
+                ("lp_rule_nodes", counters.lp_rule_nodes.into()),
                 ("bound_nanos", counters.bound_nanos.into()),
                 ("branch_nanos", counters.branch_nanos.into()),
             ],
         );
         warm_stats.merge(lp_stats);
-        warm_stats.merge(counters.milp_stats);
         degradation = degradation.merge(counters.degradation);
     }
 
@@ -1418,6 +1409,8 @@ pub fn bab_maximize_ckpt(
         let m = bab_metrics();
         m.nodes.add(frontier.nodes as u64);
         m.milp_calls.add(milp_calls as u64);
+        m.milp_solves.add(milp_calls as u64);
+        m.milp_nodes.add(lp_rule_nodes as u64);
         m.lp_skipped.add(lp_skipped as u64);
         m.lp_forced.add(lp_forced as u64);
         certnn_obs::event(
@@ -1523,8 +1516,7 @@ fn worker_loop(
     Ok(counters)
 }
 
-/// Processes one claimed node: bound, harvest incumbents, hand off to the
-/// sub-MILP when small enough, branch otherwise. Runs without any lock;
+/// Processes one claimed node under its rule. Runs without any lock;
 /// all cross-worker communication goes through `state`.
 fn process_node(
     ctx: &SearchCtx,
@@ -1534,9 +1526,15 @@ fn process_node(
     counters: &mut WorkerCounters,
     lp_warm: &mut Option<Arc<WarmStart>>,
 ) -> Result<NodeOutcome, VerifyError> {
+    if node.lp_rule {
+        let t0 = Instant::now();
+        let outcome = lp_rule_node(ctx, state, node, counters);
+        counters.bound_nanos += t0.elapsed().as_nanos() as u64;
+        return outcome;
+    }
     let opts = ctx.opts;
-    // Bound portion of the search clock: symbolic analysis, LP
-    // relaxation and sub-MILP. The guard accounts on every early return.
+    // Bound portion of the search clock: symbolic analysis and LP
+    // relaxation. The guard accounts on every early return.
     let bound_clock = NanoClock::start(&mut counters.bound_nanos);
     let bound_phase = certnn_obs::phase(certnn_obs::Phase::Bound);
     // Fresh heuristic analysis at the popped node (cheap relative to any
@@ -1576,20 +1574,20 @@ fn process_node(
     }
 
     // Collect phase decisions (forced + implied by the node's bounds)
-    // for the LP relaxation and the sub-MILP.
+    // for the LP relaxation and the LP rule.
     let decided = decided_phases(ctx, node, &analysis);
+    let hand_off = analysis.unstable.len() <= opts.milp_threshold;
 
-    // Basis handed to this node's sub-MILP root and children: the node's
-    // own LP solution when bounding runs, else the inherited ancestor's.
+    // Basis handed to this node's children: the node's own LP solution
+    // when bounding runs, else the inherited ancestor's.
     let mut node_snap = node.warm.clone();
 
     // LP-skip gate. Two elisions, both sound because the symbolic bound
     // is a valid node bound on its own:
     //
-    // * A node about to be resolved by the exact sub-MILP skips its
-    //   standalone relaxation — the sub-MILP's root solve *is* that
-    //   relaxation (same model, binaries pinned), and the cross-thread
-    //   incumbent seed reproduces the prune-before-branch check.
+    // * A node handed to the LP rule skips its standalone relaxation —
+    //   its LP-rule child solves that same relaxation with the decided
+    //   binaries pinned, and prunes on it.
     // * A node whose α-tightened bound already sits at or below the
     //   bound cutoff branches directly: its children's (cheap) symbolic
     //   analyses usually finish the kill. Skipping any earlier — within
@@ -1603,7 +1601,7 @@ fn process_node(
     // incumbents.
     let run_lp = if !opts.lp_skip {
         true
-    } else if analysis.unstable.len() <= opts.milp_threshold {
+    } else if hand_off {
         counters.lp_skipped += 1;
         false
     } else {
@@ -1642,46 +1640,22 @@ fn process_node(
         // numeric failure here (even after `solve_warm`'s own cold rung)
         // degrades gracefully: skip the tightening for this node and keep
         // the sound symbolic bound instead of aborting the search.
-        let attempt = if opts.warm_start {
-            match node.warm.as_deref().or(lp_warm.as_deref()) {
-                Some(w) => ctx.simplex.solve_warm(ctx.obj_model.relaxation(), &nb, w),
-                None => ctx.simplex.solve_snapshot(ctx.obj_model.relaxation(), &nb),
+        let warm = node.warm.as_deref().or(lp_warm.as_deref());
+        let solved = solve_node_lp(
+            ctx,
+            &mut counters.tracker,
+            &mut counters.lp_iterations,
+            &mut counters.degradation,
+            &nb,
+            warm,
+        )?;
+        if let Some(ws) = solved {
+            if let Some(snap) = ws.warm {
+                let snap = Arc::new(snap);
+                *lp_warm = Some(snap.clone());
+                node_snap = Some(snap);
             }
-        } else {
-            ctx.simplex
-                .solve_with_bounds(ctx.obj_model.relaxation(), &nb)
-                .map(|solution| certnn_lp::WarmSolve {
-                    solution,
-                    warm: None,
-                    warm_used: false,
-                    fallback: None,
-                })
-        };
-        let lp = match attempt {
-            Ok(ws) => {
-                if ws.warm_used {
-                    counters.tracker.record_warm(ws.solution.iterations);
-                } else {
-                    counters.tracker.record_cold(ws.solution.iterations);
-                }
-                if ws.fallback.is_some() {
-                    counters.degradation = counters.degradation.merge(Degradation::ColdFallback);
-                }
-                if let Some(snap) = ws.warm {
-                    let snap = Arc::new(snap);
-                    *lp_warm = Some(snap.clone());
-                    node_snap = Some(snap);
-                }
-                Some(ws.solution)
-            }
-            Err(LpError::Solve(_)) => {
-                counters.degradation = counters.degradation.merge(Degradation::IntervalOnly);
-                None
-            }
-            Err(e) => return Err(VerifyError::from(MilpError::from(e))),
-        };
-        if let Some(lp) = lp {
-            counters.lp_iterations += lp.iterations;
+            let lp = ws.solution;
             match lp.status {
                 LpStatus::Infeasible => return Ok(NodeOutcome::default()),
                 LpStatus::Optimal => {
@@ -1704,103 +1678,27 @@ fn process_node(
         }
     }
 
-    if analysis.unstable.len() <= opts.milp_threshold {
-        // Exact resolution: fix decided + implied phases in the MILP.
-        let mut milp = ctx.obj_model.clone();
+    if hand_off {
+        // Rule switch: the node goes back into the frontier under the LP
+        // rule with every decided phase pinned as a binary.
+        counters.milp_calls += 1;
+        let mut phases = node.phases.clone();
         for &(flat, v) in &decided {
-            if let Some(bin) = ctx.enc.relu_binaries[flat] {
-                let b = if v { 1.0 } else { 0.0 };
-                milp.set_bounds(bin, b, b)
-                    .map_err(certnn_milp::MilpError::from)?;
-            }
+            phases[flat] = Some(v);
         }
-        // Seed the sub-MILP with the cross-thread incumbent: its pruning
-        // then benefits from every other worker's discoveries. The seed is
-        // re-verified first (witness in the spec, forward pass reproduces
-        // the value) so an unachievable number can never be handed down as
-        // a feasible-point claim; `initial_bound` is pruning-only either
-        // way. The query's gap and early stops carry over, shifted into
-        // the MILP's constant-free objective. The cutoff only while the
-        // node can still branch: a cutoff stop leaves the node open, and
-        // an open node with nothing to branch on would end the search.
-        let shift = |v: f64| v - ctx.objective.constant;
-        let milp_opts = MilpOptions {
-            time_limit: opts.time_limit.map(|l| {
-                l.saturating_sub(ctx.start.elapsed())
-                    .max(Duration::from_millis(100))
-            }),
-            abs_gap: opts.abs_gap,
-            target_objective: opts.target_objective.map(shift),
-            bound_cutoff: opts
-                .bound_cutoff
-                .filter(|_| !analysis.unstable.is_empty())
-                .map(shift),
-            initial_bound: state.verified_seed(ctx).map(shift),
-            warm_start: opts.warm_start,
-            ..MilpOptions::default()
-        };
-        // The sub-MILP is the same model with binaries pinned, so the
-        // node's relaxation basis seeds its root solve directly. Its own
-        // retry ladder absorbs numeric faults; a typed error escaping it
-        // drops this node with a sound folded bound instead of killing
-        // the whole search.
-        let mut solver =
-            BranchAndBound::with_options(milp_opts).with_deadline(ctx.deadline.clone());
-        if let Some(w) = &node_snap {
-            solver = solver.with_root_warm(w.clone());
-        }
-        let sol = match solver.solve(&milp) {
-            Ok(sol) => Some(sol),
-            Err(MilpError::Lp(LpError::Solve(_))) => {
-                counters.degradation = counters.degradation.merge(Degradation::IntervalOnly);
-                if analysis.unstable.is_empty() {
-                    // Nothing left to branch on: give the node up, but
-                    // keep its sound bound in the final fold.
-                    return Ok(NodeOutcome::dropped(node_bound));
-                }
-                None // fall through to phase branching
-            }
-            Err(e) => return Err(VerifyError::from(e)),
-        };
-        if let Some(sol) = sol {
-            counters.milp_calls += 1;
-            counters.lp_iterations += sol.lp_iterations;
-            counters.submilp_pivots += sol.lp_iterations;
-            counters.milp_stats.merge(sol.stats);
-            counters.degradation = counters.degradation.merge(sol.degradation);
-            if let (Some(x), Some(claimed)) = (&sol.x, sol.objective) {
-                let val = harvest_milp_point(ctx, state, x, claimed)?;
-                if let Some(target) = opts.target_objective {
-                    if val >= target {
-                        return Ok(NodeOutcome::halt(MilpStatus::TargetReached, node_bound));
-                    }
-                }
-            }
-            match sol.status {
-                // Node fully resolved either way.
-                MilpStatus::Optimal | MilpStatus::Infeasible => return Ok(NodeOutcome::default()),
-                MilpStatus::Aborted => {
-                    // The sub-MILP degraded to a folded bound; keep the
-                    // node's own (sound) bound and drop the node rather
-                    // than trusting a truncated exact resolution.
-                    if analysis.unstable.is_empty() {
-                        return Ok(NodeOutcome::dropped(node_bound));
-                    }
-                }
-                _ => {
-                    // Sub-MILP stopped early (deadline, cutoff): its bound
-                    // still holds over the node, so fold it in and branch
-                    // on. Never resolve the node outright — a cutoff stop
-                    // says nothing about the node's maximum. With nothing
-                    // to branch on, give up on the node but keep its
-                    // (sound) bound via the abandoned fold.
-                    node_bound = node_bound.min(sol.best_bound + ctx.objective.constant);
-                    if analysis.unstable.is_empty() {
-                        return Ok(NodeOutcome::halt(MilpStatus::TimeLimit, node_bound));
-                    }
-                }
-            }
-        }
+        return Ok(NodeOutcome {
+            children: vec![Node {
+                phases,
+                bound: node_bound,
+                depth: node.depth + 1,
+                seq: 0,
+                retries: 0,
+                warm: node_snap,
+                alpha: None,
+                lp_rule: true,
+            }],
+            ..NodeOutcome::default()
+        });
     }
 
     // Branch portion of the search clock.
@@ -1861,9 +1759,166 @@ fn process_node(
             retries: 0,
             warm: node_snap.clone(),
             alpha: node_alpha.clone(),
+            lp_rule: false,
         });
     }
     Ok(outcome)
+}
+
+/// The LP rule at one node: the encoding's LP with the node's binaries
+/// pinned, warm from the parent's basis. Prunes on an infeasible LP or a
+/// bound at or below the prune level, closes on an integral point (whose
+/// input is harvested through the encoder cross-check) and otherwise
+/// branches on the most fractional binary.
+fn lp_rule_node(
+    ctx: &SearchCtx,
+    state: &SearchState,
+    node: &Node,
+    counters: &mut WorkerCounters,
+) -> Result<NodeOutcome, VerifyError> {
+    let _bound_phase = certnn_obs::phase(certnn_obs::Phase::Bound);
+    let opts = ctx.opts;
+    counters.lp_rule_nodes += 1;
+    let mut bounds = ctx.base_bounds.to_vec();
+    for (phase, bin) in node.phases.iter().zip(&ctx.enc.relu_binaries) {
+        if let (Some(v), Some(bin)) = (phase, bin) {
+            let b = if *v { 1.0 } else { 0.0 };
+            bounds[bin.index()] = (b, b);
+        }
+    }
+    let solved = solve_node_lp(
+        ctx,
+        &mut counters.tracker,
+        &mut counters.lp_iterations,
+        &mut counters.degradation,
+        &bounds,
+        node.warm.as_deref(),
+    )?;
+    let Some(ws) = solved else {
+        return Ok(NodeOutcome::dropped(node.bound));
+    };
+    let lp = ws.solution;
+    match lp.status {
+        LpStatus::Optimal => {}
+        LpStatus::Infeasible => return Ok(NodeOutcome::default()),
+        LpStatus::Deadline => {
+            return Ok(NodeOutcome {
+                requeue: Some(node.clone()),
+                ..NodeOutcome::default()
+            })
+        }
+        // The encoding is bounded, so this is the iteration cap: the node
+        // stays unresolved and keeps its sound bound in the fold.
+        _ => {
+            counters.degradation = counters.degradation.merge(Degradation::IntervalOnly);
+            return Ok(NodeOutcome::dropped(node.bound));
+        }
+    }
+    let bound = node.bound.min(lp.objective + ctx.objective.constant);
+    if bound <= state.prune_level(opts.abs_gap) {
+        return Ok(NodeOutcome::default());
+    }
+
+    // Most fractional binary; the first one wins ties. Pinned binaries
+    // sit exactly at 0 or 1.
+    let mut branch: Option<(usize, f64)> = None;
+    for (flat, bin) in ctx.enc.relu_binaries.iter().enumerate() {
+        let Some(bin) = bin else { continue };
+        let val = lp.x[bin.index()];
+        if (val - val.round()).abs() <= INT_TOL {
+            continue;
+        }
+        let score = (val - val.floor() - 0.5).abs();
+        if branch.is_none_or(|(_, best)| score < best) {
+            branch = Some((flat, score));
+        }
+    }
+    let val = match branch {
+        None => harvest_milp_point(ctx, state, &lp.x, lp.objective)?,
+        Some(_) => {
+            let input: Vector = ctx.enc.input_vars.iter().map(|v| lp.x[v.index()]).collect();
+            state.try_incumbent(ctx, &input)
+        }
+    };
+    if let Some(target) = opts.target_objective {
+        if val >= target {
+            return Ok(NodeOutcome::halt(MilpStatus::TargetReached, bound));
+        }
+    }
+    let Some((flat, _)) = branch else {
+        return Ok(NodeOutcome::default());
+    };
+    let warm = ws.warm.map(Arc::new).or_else(|| node.warm.clone());
+    let children = [false, true]
+        .into_iter()
+        .map(|v| {
+            let mut phases = node.phases.clone();
+            phases[flat] = Some(v);
+            Node {
+                phases,
+                bound,
+                depth: node.depth + 1,
+                seq: 0,
+                retries: 0,
+                warm: warm.clone(),
+                alpha: None,
+                lp_rule: true,
+            }
+        })
+        .collect();
+    Ok(NodeOutcome {
+        children,
+        ..NodeOutcome::default()
+    })
+}
+
+/// Solves the relaxation of `ctx.obj_model` under `bounds`: warm from
+/// `warm` when warm starts are on and a basis is at hand, cold otherwise.
+/// Books the solve's warm/cold split and pivots, and tags an error-driven
+/// cold fallback. A typed numeric failure that even `solve_warm`'s cold
+/// rung could not absorb yields `None`, tagged
+/// [`Degradation::IntervalOnly`].
+fn solve_node_lp(
+    ctx: &SearchCtx,
+    tracker: &mut WarmTracker,
+    lp_iterations: &mut usize,
+    degradation: &mut Degradation,
+    bounds: &[(f64, f64)],
+    warm: Option<&WarmStart>,
+) -> Result<Option<WarmSolve>, VerifyError> {
+    let lp = ctx.obj_model.relaxation();
+    let attempt = match (ctx.opts.warm_start, warm) {
+        (true, Some(w)) => ctx.simplex.solve_warm(lp, bounds, w),
+        (true, None) => ctx.simplex.solve_snapshot(lp, bounds),
+        (false, _) => ctx
+            .simplex
+            .solve_with_bounds(lp, bounds)
+            .map(|solution| WarmSolve {
+                solution,
+                warm: None,
+                warm_used: false,
+                fallback: None,
+            }),
+    };
+    match attempt {
+        Ok(ws) => {
+            if ws.warm_used {
+                tracker.record_warm(ws.solution.iterations);
+            } else {
+                tracker.record_cold(ws.solution.iterations);
+            }
+            if ws.fallback.is_some() {
+                *degradation = degradation.merge(Degradation::ColdFallback);
+            }
+            *lp_iterations += ws.solution.iterations;
+            Ok(Some(ws))
+        }
+        Err(LpError::Solve(_)) => {
+            *degradation = degradation.merge(Degradation::IntervalOnly);
+            Ok(None)
+        }
+        Err(e) => Err(VerifyError::from(MilpError::from(e))),
+    }
 }
 
 /// Builds the LP relaxation's node-tightened variable bounds: every
@@ -1918,11 +1973,12 @@ fn satisfies_constraints(spec: &InputSpec, x: &Vector) -> bool {
     spec.constraints().iter().all(|c| c.satisfied_by(x, 1e-6))
 }
 
-/// Offers the input of a sub-MILP's integral point `x` as an incumbent,
-/// with [`SearchState::try_incumbent`]'s return value. The encoding is exact, so the
-/// network must reproduce the MILP's `claimed` (constant-free) objective
-/// there; a disagreement is an encoder bug, reported as
-/// [`VerifyError::CounterexampleMismatch`] instead of a result.
+/// Offers the input of an LP-rule node's integral point `x` as an
+/// incumbent, with [`SearchState::try_incumbent`]'s return value. The
+/// encoding is exact, so the network must reproduce the LP's `claimed`
+/// (constant-free) objective there; a disagreement is an encoder bug,
+/// reported as [`VerifyError::CounterexampleMismatch`] instead of a
+/// result.
 fn harvest_milp_point(
     ctx: &SearchCtx,
     state: &SearchState,
@@ -2150,7 +2206,7 @@ mod tests {
             .map(|&(o, c)| (enc.output_vars[o], c))
             .collect();
         milp.set_objective(&terms);
-        let x = BranchAndBound::new().solve(&milp).unwrap().x?;
+        let x = certnn_milp::BranchAndBound::new().solve(&milp).unwrap().x?;
         let input: Vector = enc.input_vars.iter().map(|v| x[v.index()]).collect();
         Some(obj.eval(&net.forward(&input).unwrap()))
     }

@@ -21,21 +21,26 @@
 //! frontier. Every section carries its own FNV-1a checksum and the body
 //! carries the sealed trailer, so any single-byte corruption — torn
 //! write, bit flip, truncation — is detected before anything is trusted.
-//! Version 1 files, whose trailer also covered magic and version, are
-//! rejected like any other unreadable snapshot.
+//! Older versions are rejected like any other unreadable snapshot:
+//! version 1, whose trailer also covered magic and version, and
+//! version 2, whose nodes carried no node rule.
 //!
 //! # What is (and is not) trusted from disk
 //!
 //! The snapshot is *combinatorial*, never numeric-derived state:
 //!
-//! * Frontier nodes carry phase assignments, bounds and tie-break
-//!   sequence numbers. Bounds are re-validated (finite) and every node is
+//! * Frontier nodes carry phase assignments (pinned binaries under the
+//!   LP rule), their node rule, bounds and tie-break sequence numbers.
+//!   Bounds are re-validated (finite) and every node is
 //!   re-bounded by the resumed search before anything depends on it.
 //! * Warm starts are stored as **basis signatures** (basic column per row
-//!   plus per-column status codes) only. Factorizations are re-derived
-//!   from the model's own constraint columns on first use
-//!   ([`certnn_lp::WarmStart::from_description`] always rebuilds with no
-//!   frozen factor) — LU data from disk is never used.
+//!   plus per-column status codes) and the **history** of their
+//!   factorization (the basis of its LU and the entering column of each
+//!   eta since). Factorizations are re-derived from the model's own
+//!   constraint columns on first use by replaying that history
+//!   ([`certnn_lp::WarmStart::from_description`]), which reproduces the
+//!   live search's factorization bit for bit — LU data from disk is
+//!   never used.
 //! * The incumbent witness is re-verified by a fresh forward pass before
 //!   it is installed; the stored objective value is only a cross-check.
 //! * α vectors are clamped to `[0, 1]`, where *any* value is sound.
@@ -62,7 +67,7 @@ use std::time::Duration;
 pub const MAGIC: [u8; 4] = *b"CNCK";
 
 /// Current format version. Readers reject anything else.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Default [`CheckpointPolicy::every_nodes`].
 pub const DEFAULT_EVERY_NODES: usize = 64;
@@ -206,6 +211,11 @@ pub struct WarmDesc {
     /// Per-column status codes (`n_struct + m` entries, encoding of
     /// [`certnn_lp::WarmStart::describe`]).
     pub status: Vec<u8>,
+    /// History of the basis factorization
+    /// ([`certnn_lp::WarmStart::describe_factor`]): the basis its LU was
+    /// computed for, then a `(position, column)` pair per eta; empty
+    /// without a factorization.
+    pub factor: Vec<u64>,
 }
 
 /// One serialized frontier node.
@@ -223,6 +233,9 @@ pub struct SnapshotNode {
     /// Per-ReLU phase assignment: `0` open, `1` forced inactive,
     /// `2` forced active.
     pub phases: Vec<u8>,
+    /// `true` when the node runs the LP rule of [`crate::bab`] (its
+    /// phases pin big-M binaries), `false` for the phase rule.
+    pub lp_rule: bool,
     /// Inherited tuned α slopes, when α tuning was on.
     pub alpha: Option<Vec<f64>>,
     /// Index into [`Snapshot::warm_pool`], when the node carried a basis.
@@ -443,6 +456,10 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
             pool.u64(b);
         }
         pool.bytes(&d.status);
+        pool.u64(d.factor.len() as u64);
+        for &j in &d.factor {
+            pool.u64(j);
+        }
     }
     encode_section(&mut out, SEC_WARM_POOL, &pool);
 
@@ -453,6 +470,7 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
         fr.u64(n.depth);
         fr.u64(n.seq);
         fr.u8(n.retries);
+        fr.u8(u8::from(n.lp_rule));
         fr.bytes(&n.phases);
         match &n.alpha {
             None => fr.u8(0),
@@ -525,7 +543,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     }
 
     let mut p = Dec::new(section(&mut dec, SEC_WARM_POOL)?);
-    let pool_len = p.len(24)?;
+    let pool_len = p.len(32)?;
     let mut warm_pool = Vec::with_capacity(pool_len);
     for _ in 0..pool_len {
         let m = p.u64()?;
@@ -536,20 +554,27 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
             basis.push(p.u64()?);
         }
         let status = p.bytes()?.to_vec();
-        warm_pool.push(WarmDesc { m, n_struct, basis, status });
+        let fl = p.len(8)?;
+        let factor = (0..fl).map(|_| p.u64()).collect::<Result<_, _>>()?;
+        warm_pool.push(WarmDesc { m, n_struct, basis, status, factor });
     }
     if !p.done() {
         return Err(CheckpointError::Malformed("trailing bytes in warm pool"));
     }
 
     let mut fdec = Dec::new(section(&mut dec, SEC_FRONTIER)?);
-    let n_nodes = fdec.len(34)?;
+    let n_nodes = fdec.len(35)?;
     let mut frontier = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let bound = fdec.f64()?;
         let depth = fdec.u64()?;
         let seq = fdec.u64()?;
         let retries = fdec.u8()?;
+        let lp_rule = match fdec.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(CheckpointError::Malformed("bad node rule flag")),
+        };
         let phases = fdec.bytes()?.to_vec();
         let alpha = match fdec.u8()? {
             0 => None,
@@ -567,7 +592,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
             u64::MAX => None,
             w => Some(w),
         };
-        frontier.push(SnapshotNode { bound, depth, seq, retries, phases, alpha, warm_idx });
+        frontier.push(SnapshotNode {
+            bound,
+            depth,
+            seq,
+            retries,
+            phases,
+            lp_rule,
+            alpha,
+            warm_idx,
+        });
     }
     if !fdec.done() {
         return Err(CheckpointError::Malformed("trailing bytes in frontier"));
@@ -659,6 +693,7 @@ mod tests {
                 n_struct: 3,
                 basis: vec![0, 4],
                 status: vec![0, 1, 2, 1, 0],
+                factor: vec![3, 4, 0, 0],
             }],
             frontier: vec![
                 SnapshotNode {
@@ -667,6 +702,7 @@ mod tests {
                     seq: 11,
                     retries: 0,
                     phases: vec![0, 1, 2, 0],
+                    lp_rule: false,
                     alpha: Some(vec![0.0, 0.5, 1.0, 0.25]),
                     warm_idx: Some(0),
                 },
@@ -676,6 +712,7 @@ mod tests {
                     seq: 17,
                     retries: 1,
                     phases: vec![2, 2, 1, 0],
+                    lp_rule: true,
                     alpha: None,
                     warm_idx: None,
                 },
@@ -700,6 +737,23 @@ mod tests {
         "ffffffffffffff08fbab87588fc012c8282b93ef0e8a52",
     );
 
+    /// `encode_snapshot(&sample_snapshot())` as format version 2 wrote
+    /// it, before nodes carried their rule.
+    const V2_FIXTURE: &str = concat!(
+        "434e434b020000000131000000000000000df0fecaefbeadde07000000000000",
+        "002a00000000000000630000000000000087d6120000000000000000000000f0",
+        "ff049af0e68fabaecd4702290000000000000001030000000000000000000000",
+        "0000d03f000000000000f0bf000000000000e03f000000000000fc3f4bdc7ff1",
+        "9a75c167033d0000000000000001000000000000000200000000000000030000",
+        "0000000000020000000000000000000000000000000400000000000000050000",
+        "00000000000001020100b0a81b425da3e66c048c000000000000000200000000",
+        "0000000000000000000c4002000000000000000b000000000000000004000000",
+        "00000000000102000104000000000000000000000000000000000000000000e0",
+        "3f000000000000f03f000000000000d03f0000000000000000000000000000f4",
+        "3f050000000000000011000000000000000104000000000000000202010000ff",
+        "ffffffffffffff08fbab87588fc012765ba0399834c4b0",
+    );
+
     fn from_hex(hex: &str) -> Vec<u8> {
         (0..hex.len())
             .step_by(2)
@@ -712,6 +766,14 @@ mod tests {
         assert_eq!(
             decode_snapshot(&from_hex(V1_FIXTURE)),
             Err(CheckpointError::UnsupportedVersion(1))
+        );
+    }
+
+    #[test]
+    fn v2_fixture_is_rejected_as_unsupported_version() {
+        assert_eq!(
+            decode_snapshot(&from_hex(V2_FIXTURE)),
+            Err(CheckpointError::UnsupportedVersion(2))
         );
     }
 
@@ -829,6 +891,7 @@ mod tests {
                 seq,
                 retries: (seq % 3) as u8,
                 phases,
+                lp_rule: seq % 2 == 1,
                 alpha: has_alpha.then_some(alpha),
                 warm_idx: has_warm.then_some(seq % 4),
             });
@@ -867,6 +930,7 @@ mod tests {
                     n_struct: 2,
                     basis: vec![1, 3],
                     status: vec![1, 0, 2, 0],
+                    factor: if nodes_done % 2 == 0 { vec![2, 3, 0, 1] } else { Vec::new() },
                 }],
                 frontier,
             })

@@ -88,8 +88,8 @@ pub struct Encoding {
     /// The bounds used for stability analysis and big-M constants.
     pub bounds: NetworkBounds,
     /// For every ReLU neuron (flat layer-major order): its binary
-    /// variable, or `None` if presolve proved the neuron stable. Used by
-    /// the neuron branch-and-bound's sub-MILP fallback to fix phases.
+    /// variable, or `None` if presolve proved the neuron stable. The
+    /// neuron branch-and-bound's LP rule pins and branches on these.
     pub relu_binaries: Vec<Option<VarId>>,
     /// Pre-activation variable of every neuron, per layer. The neuron
     /// branch-and-bound tightens these variables' bounds per node.

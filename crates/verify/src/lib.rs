@@ -21,17 +21,18 @@
 //!    the left*).
 //! 3. [`bab`] — the one search engine, a hybrid neuron branch-and-bound:
 //!    gradient-guided phase branching, symbolic + LP bounding per node,
-//!    genuine incumbents from every node's bounding corner, and an exact
-//!    sub-MILP once few neurons remain unstable. The search is
-//!    work-sharing parallel ([`bab::BabOptions::threads`]); any thread
-//!    count returns the same verdict within the `abs_gap` contract.
+//!    genuine incumbents from every node's bounding corner, and, once few
+//!    neurons remain unstable, the big-M MILP's own LP rule on the same
+//!    frontier, which closes the gap exactly. The search is work-sharing
+//!    parallel ([`bab::BabOptions::threads`]); any thread count returns
+//!    the same verdict within the `abs_gap` contract.
 //! 4. [`verifier`] — the two query forms of Table II behind one facade:
 //!    [`verifier::Verifier::maximize`] / [`verifier::Verifier::minimize`]
 //!    compute exact extrema of linear output functionals (rows 1–6), and
 //!    [`verifier::Verifier::prove_below`] decides a bound with early
 //!    termination in both directions (last row). The
-//!    [`verifier::Engine`] picks, per query, where [`bab`] hands nodes to
-//!    the sub-MILP: at the root ([`verifier::Engine::Milp`], the paper's
+//!    [`verifier::Engine`] picks, per query, where [`bab`] switches nodes
+//!    to the LP rule: at the root ([`verifier::Engine::Milp`], the paper's
 //!    method) or once few neurons remain unstable
 //!    ([`verifier::Engine::HybridBab`]).
 //! 5. [`attack`] — cheap gradient falsification to run *before* complete

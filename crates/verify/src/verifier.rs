@@ -75,9 +75,10 @@ verify_stats! {
     /// Estimated pivots avoided by warm starts, measured against the
     /// running mean pivot count of the cold solves.
     pivots_saved: sum,
-    /// Branch-and-bound nodes whose LP relaxation the skip gate elided:
-    /// sub-MILP hand-offs (a root hand-off counts one) and nodes already
-    /// at or below the bound cutoff.
+    /// Phase-rule nodes whose LP relaxation the skip gate elided: nodes
+    /// handed to the LP rule (a root hand-off counts one), whose LP-rule
+    /// child solves that relaxation, and nodes already at or below the
+    /// bound cutoff.
     lp_skipped: sum,
     /// Branch-and-bound nodes whose LP relaxation ran while the skip
     /// gate was active.
@@ -198,7 +199,8 @@ impl Verdict {
 }
 
 /// Where the one search engine, the neuron branch-and-bound of
-/// [`crate::bab`], hands nodes to the exact big-M sub-MILP.
+/// [`crate::bab`], switches nodes from phase branching to the big-M
+/// MILP's LP rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Pick per query: [`Engine::HybridBab`] for box-only specs with
@@ -210,27 +212,28 @@ pub enum Engine {
     #[default]
     Auto,
     /// Neuron branching with symbolic re-propagation and LP bounding per
-    /// node; a node goes to the exact sub-MILP once at most
+    /// node; a node switches to the LP rule once at most
     /// [`VerifierOptions::milp_threshold`] neurons remain unstable.
     HybridBab,
-    /// The pure big-M MILP of Cheng et al. (ATVA 2017): the root node goes
-    /// straight to the exact sub-MILP over the whole encoding.
+    /// The pure big-M MILP of Cheng et al. (ATVA 2017): the root node
+    /// switches to the LP rule at once, so the whole big-M tree is
+    /// searched on the shared frontier.
     Milp,
 }
 
 /// Configuration for [`Verifier`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerifierOptions {
-    /// Sub-MILP hand-off point of the search.
+    /// Where the search switches nodes to the LP rule.
     pub engine: Engine,
-    /// Hand a BaB node to the exact sub-MILP once at most this many
-    /// neurons remain unstable (whenever the engine resolves to
+    /// Switch a BaB node to the LP rule once at most this many neurons
+    /// remain unstable (whenever the engine resolves to
     /// [`Engine::HybridBab`]).
     pub milp_threshold: usize,
     /// Wall-clock limit per query; `None` = unlimited.
     pub time_limit: Option<Duration>,
-    /// Search-node limit per query (a root hand-off is one node); `None`
-    /// = unlimited.
+    /// Search-node limit per query, counting nodes of both rules;
+    /// `None` = unlimited.
     pub node_limit: Option<usize>,
     /// Absolute optimality gap for `maximize`.
     pub abs_gap: f64,
@@ -246,8 +249,8 @@ pub struct VerifierOptions {
     /// presolves symbolically and reproduces the fixed-slope heuristic
     /// bit-for-bit (see [`crate::bab::BabOptions::alpha_iters`]).
     pub alpha_iters: usize,
-    /// Elide per-node LP relaxations where they are redundant (sub-MILP
-    /// hand-off nodes, nodes below the cutoff; see
+    /// Elide per-node LP relaxations where they are redundant (nodes
+    /// handed to the LP rule, nodes below the cutoff; see
     /// [`crate::bab::BabOptions::lp_skip`]).
     pub lp_skip: bool,
 }
@@ -308,9 +311,9 @@ impl Verifier {
     /// live branch-and-bound frontier to `policy.dir` on the configured
     /// cadence and flushes a final snapshot when a resource limit stops
     /// the search, so an interrupted query can be resumed (with
-    /// `policy.resume`) and finish as if it had never been stopped. A
-    /// sub-MILP hand-off is one search step and is not snapshotted
-    /// mid-solve.
+    /// `policy.resume`) and finish as if it had never been stopped.
+    /// LP-rule nodes are frontier nodes like any other, so the big-M tree
+    /// of a root hand-off ([`Engine::Milp`]) is snapshotted mid-solve.
     #[must_use]
     pub fn with_checkpoints(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoints = Some(policy);
@@ -318,7 +321,7 @@ impl Verifier {
     }
 
     /// Search options of a query over `spec`. The engine is read here
-    /// and only here: it picks the sub-MILP hand-off threshold.
+    /// and only here: it picks the LP-rule hand-off threshold.
     fn bab_options(&self, spec: &InputSpec) -> BabOptions {
         let branch = match self.opts.engine {
             Engine::HybridBab => true,

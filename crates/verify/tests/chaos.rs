@@ -115,7 +115,7 @@ fn dense_numeric_faults_keep_the_hybrid_search_sound() {
     let _g = fault::serial_guard();
     let (net, spec, obj) = fixture(29);
     let exact = clean_exact(&net, &spec, &obj);
-    // Hammer every other refactorisation: LP bounding and sub-MILP solves
+    // Hammer every other refactorisation: phase-rule and LP-rule solves
     // keep failing into the interval rungs of the ladder. With LP pruning
     // mostly gone the phase tree degenerates towards full enumeration, so
     // cap the nodes — the bound must be sound however the search stops.

@@ -279,3 +279,91 @@ fn checkpointing_on_a_clean_run_changes_nothing_and_leaves_no_file() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The paper's pure big-M MILP: the root switches to the LP rule at once.
+fn root_hand_off() -> BabOptions {
+    BabOptions {
+        milp_threshold: usize::MAX,
+        ..BabOptions::default()
+    }
+}
+
+/// A resumed run reproduces the uninterrupted one: value and bound bit
+/// for bit, cumulative node count, a clean tag and no snapshot left.
+fn assert_resumed_exactly(full: &BabResult, resumed: &BabResult, dir: &Path) {
+    assert_eq!(resumed.status, full.status);
+    assert_eq!(
+        resumed.best_value.unwrap().to_bits(),
+        full.best_value.unwrap().to_bits(),
+        "resumed verdict must be bit-identical to the uninterrupted run"
+    );
+    assert_eq!(resumed.upper_bound.to_bits(), full.upper_bound.to_bits());
+    assert_eq!(
+        resumed.nodes, full.nodes,
+        "cumulative node count must match the uninterrupted run"
+    );
+    assert_eq!(resumed.degradation, Degradation::Exact);
+    assert!(ckpt_files(dir).is_empty(), "a completed query must delete its snapshot");
+}
+
+#[test]
+fn root_hand_off_stopped_by_a_node_limit_resumes_exactly() {
+    // The big-M tree lives in the frontier, so a node limit stops it
+    // partway and the snapshot holds its open LP-rule nodes.
+    let net = Network::relu_mlp(4, &[8, 8], 1, 1).unwrap();
+    let opts = root_hand_off();
+    let full = solve(&net, &opts, None);
+    assert_eq!(full.status, certnn_milp::MilpStatus::Optimal);
+    assert!(full.nodes >= 50, "test query too easy ({} nodes)", full.nodes);
+    for frac in [3usize, 2] {
+        let dir = scratch_dir(&format!("root_nodes{frac}"));
+        let pol = policy(&dir);
+        let limited = BabOptions {
+            node_limit: Some(full.nodes / frac),
+            ..opts
+        };
+        let first = solve(&net, &limited, Some(&pol));
+        assert_eq!(first.status, certnn_milp::MilpStatus::NodeLimit);
+        assert_eq!(ckpt_files(&dir).len(), 1);
+        let second = solve(&net, &opts, Some(&pol));
+        assert_resumed_exactly(&full, &second, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn root_hand_off_stopped_by_a_deadline_resumes_exactly() {
+    // A node whose LP meets the deadline goes back into the frontier
+    // unprocessed, so the snapshot loses no part of the big-M tree.
+    let net = Network::relu_mlp(4, &[8, 8], 1, 1).unwrap();
+    let opts = root_hand_off();
+    let full = solve(&net, &opts, None);
+    assert!(full.nodes >= 50, "test query too easy ({} nodes)", full.nodes);
+    // Time limits are fractions of a run that writes the same snapshots.
+    let dir = scratch_dir("root_timing");
+    let timing = CheckpointPolicy {
+        resume: false,
+        ..policy(&dir)
+    };
+    let budget = solve(&net, &opts, Some(&timing)).elapsed;
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut stopped = 0;
+    for frac in [4u32, 2] {
+        let dir = scratch_dir(&format!("root_deadline{frac}"));
+        let pol = policy(&dir);
+        let limited = BabOptions {
+            time_limit: Some(budget / frac),
+            ..opts
+        };
+        let first = solve(&net, &limited, Some(&pol));
+        if first.status == certnn_milp::MilpStatus::TimeLimit {
+            stopped += 1;
+            assert_eq!(first.degradation, Degradation::TimedOut);
+            assert_eq!(ckpt_files(&dir).len(), 1);
+            let second = solve(&net, &opts, Some(&pol));
+            assert_resumed_exactly(&full, &second, &dir);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(stopped > 0, "no run stopped at its deadline");
+}

@@ -20,6 +20,7 @@ use certnn_sim::features::FEATURE_COUNT;
 use certnn_sim::scenario::{generate_dataset, ScenarioConfig};
 use certnn_verify::bab::{bab_maximize, BabOptions};
 use certnn_verify::property::{InputSpec, LinearObjective};
+use certnn_verify::verifier::{Engine, Verifier, VerifierOptions};
 use proptest::prelude::*;
 
 fn unit_spec(n: usize) -> InputSpec {
@@ -83,6 +84,38 @@ fn trained_net_verifies_identically_at_one_and_four_threads() {
         par.upper_bound
     );
     // Each run's witness is a genuine input achieving its value.
+    let w = par.witness.unwrap();
+    assert!(spec.contains(&w, 1e-6));
+    assert!((net.forward(&w).unwrap()[obj.terms[0].0] - b).abs() < 1e-9);
+}
+
+#[test]
+fn big_m_engine_agrees_at_one_and_two_threads() {
+    // `Engine::Milp` runs the big-M tree in the shared frontier, so its
+    // workers split the search too.
+    use certnn_nn::gmm::ActionDim;
+    let (net, layout) = trained_smoke_predictor();
+    let spec = left_vehicle_spec();
+    let obj = LinearObjective::output(layout.mean(0, ActionDim::LateralVelocity));
+    let run = |threads| {
+        Verifier::with_options(VerifierOptions {
+            engine: Engine::Milp,
+            threads,
+            ..VerifierOptions::default()
+        })
+        .maximize(&net, &spec, &obj)
+        .unwrap()
+    };
+    let (serial, par) = (run(1), run(2));
+    assert_eq!(serial.status, MilpStatus::Optimal);
+    assert_eq!(par.status, MilpStatus::Optimal);
+    assert!(serial.stats.nodes > 1, "the big-M tree must be searched node by node");
+    let abs_gap = VerifierOptions::default().abs_gap;
+    let (a, b) = (serial.best_value.unwrap(), par.best_value.unwrap());
+    assert!(
+        (a - b).abs() <= abs_gap,
+        "serial big-M max {a} vs 2-thread {b}"
+    );
     let w = par.witness.unwrap();
     assert!(spec.contains(&w, 1e-6));
     assert!((net.forward(&w).unwrap()[obj.terms[0].0] - b).abs() < 1e-9);
