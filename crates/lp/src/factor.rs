@@ -225,11 +225,13 @@ impl Eta {
 /// Frozen, shareable snapshot of a [`BasisFactor`]: the LU core and the
 /// eta chain behind `Arc`s plus the basis-column signature. Stored in
 /// `WarmStart` so child solves thaw the parent's factorization instead
-/// of rebuilding it.
+/// of rebuilding it. The chain is a list of shared chunks, oldest first,
+/// one per solve that added etas, so a snapshot stores its own etas
+/// only and a frontier of open nodes holds each eta once.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FrozenFactor {
     lu: Arc<LuFactor>,
-    etas: Arc<[Eta]>,
+    etas: Vec<Arc<[Eta]>>,
     sig: u64,
 }
 
@@ -246,7 +248,7 @@ impl FrozenFactor {
     /// column per position) followed by the position and entering column
     /// of each eta, in order.
     pub(crate) fn history(&self) -> impl Iterator<Item = usize> + '_ {
-        let etas = self.etas.iter().flat_map(|e| [e.r, e.col]);
+        let etas = self.etas.iter().flat_map(|c| c.iter()).flat_map(|e| [e.r, e.col]);
         self.lu.basis.iter().copied().chain(etas)
     }
 }
@@ -257,7 +259,7 @@ impl FrozenFactor {
 #[derive(Debug, Clone)]
 pub(crate) struct BasisFactor {
     lu: Arc<LuFactor>,
-    base: Arc<[Eta]>,
+    base: Vec<Arc<[Eta]>>,
     tail: Vec<Eta>,
     tmp: Vec<f64>,
 }
@@ -269,7 +271,7 @@ impl BasisFactor {
         let m = lu.m;
         Some(Self {
             lu: Arc::new(lu),
-            base: Arc::from(Vec::new()),
+            base: Vec::new(),
             tail: Vec::new(),
             tmp: Vec::with_capacity(m),
         })
@@ -317,7 +319,7 @@ impl BasisFactor {
     pub(crate) fn thaw(frozen: &FrozenFactor) -> Self {
         Self {
             lu: Arc::clone(&frozen.lu),
-            base: Arc::clone(&frozen.etas),
+            base: frozen.etas.clone(),
             tail: Vec::new(),
             tmp: Vec::with_capacity(frozen.lu.m),
         }
@@ -328,14 +330,10 @@ impl BasisFactor {
     /// currently describes (the factorize-time basis composed with every
     /// eta appended since).
     pub(crate) fn freeze(&self, sig: u64) -> FrozenFactor {
-        let etas = if self.tail.is_empty() {
-            Arc::clone(&self.base)
-        } else {
-            let mut chain = Vec::with_capacity(self.base.len() + self.tail.len());
-            chain.extend(self.base.iter().cloned());
-            chain.extend(self.tail.iter().cloned());
-            Arc::from(chain)
-        };
+        let mut etas = self.base.clone();
+        if !self.tail.is_empty() {
+            etas.push(Arc::from(self.tail.as_slice()));
+        }
         FrozenFactor {
             lu: Arc::clone(&self.lu),
             etas,
@@ -345,13 +343,13 @@ impl BasisFactor {
 
     /// Combined eta-chain length (inherited + own pivots).
     pub(crate) fn chain_len(&self) -> usize {
-        self.base.len() + self.tail.len()
+        self.base.iter().map(|c| c.len()).sum::<usize>() + self.tail.len()
     }
 
     /// `x := B⁻¹ x` (row space in, position space out), in place.
     pub(crate) fn ftran(&mut self, x: &mut [f64]) {
         self.lu.ftran(x, &mut self.tmp);
-        for eta in self.base.iter() {
+        for eta in self.base.iter().flat_map(|c| c.iter()) {
             eta.ftran(x);
         }
         for eta in &self.tail {
@@ -364,7 +362,7 @@ impl BasisFactor {
         for eta in self.tail.iter().rev() {
             eta.btran(x);
         }
-        for eta in self.base.iter().rev() {
+        for eta in self.base.iter().rev().flat_map(|c| c.iter().rev()) {
             eta.btran(x);
         }
         self.lu.btran(x, &mut self.tmp);
