@@ -29,11 +29,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A query heavy enough (several seconds, ~5k branch-and-bound nodes)
-/// that a daemon checkpointing every node is reliably still solving when
-/// killed. The 32-dimensional input box keeps `Engine::Auto` on neuron
-/// branching, whose many small nodes give the checkpoint cadence
-/// something to snapshot; a root hand-off is one long step.
+/// A query heavy enough (a few seconds, 11,617 search nodes) that a
+/// daemon checkpointing every node is reliably still solving when
+/// killed. Its root leaves all 24 ReLUs unstable, one more than
+/// `AUTO_HAND_OFF_UNSTABLE`, so `Engine::Auto` branches on neurons and
+/// the kill lands in a neuron-branching tree. A root hand-off would be
+/// snapshotted node by node as well: LP-rule nodes are frontier nodes.
 type Query = (Network, InputSpec, LinearObjective, VerifierOptions);
 
 fn slow_query() -> Query {

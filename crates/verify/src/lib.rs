@@ -34,7 +34,9 @@
 //!    [`verifier::Engine`] picks, per query, where [`bab`] switches nodes
 //!    to the LP rule: at the root ([`verifier::Engine::Milp`], the paper's
 //!    method) or once few neurons remain unstable
-//!    ([`verifier::Engine::HybridBab`]).
+//!    ([`verifier::Engine::HybridBab`]); the default
+//!    [`verifier::Engine::Auto`] picks between the two by the number of
+//!    neurons the root's symbolic analysis leaves unstable.
 //! 5. [`attack`] — cheap gradient falsification to run *before* complete
 //!    verification; [`robustness`] — local robustness and the
 //!    maximum-resilience search of the cited ATVA 2017 methodology;

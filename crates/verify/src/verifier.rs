@@ -1,6 +1,7 @@
 //! Verification queries: exact output maximisation and bound proofs.
 
 use crate::bab::{bab_maximize_ckpt, BabOptions, BabResult};
+use crate::bounds::PhaseAnalyzer;
 use crate::checkpoint::CheckpointPolicy;
 use crate::property::{InputSpec, LinearObjective};
 use crate::VerifyError;
@@ -198,17 +199,27 @@ impl Verdict {
     }
 }
 
+/// Most neurons the root's fixed-slope symbolic analysis may leave
+/// unstable for [`Engine::Auto`] to hand the whole query to the LP rule
+/// at the root. The big-M tree of a root hand-off grows with its
+/// binaries. Measured serially on the Table II, fleet and perfbench
+/// queries, the hand-off won at 11–22 unstable neurons (up to 12× on
+/// Table II I4×6; one 20-epoch I4×4 lost 30 ms), tied or lost 1.4× at
+/// 24, and lost 1.5× up to a time-out from 31 up (Table II I4×8 to
+/// I4×12).
+pub const AUTO_HAND_OFF_UNSTABLE: usize = 23;
+
 /// Where the one search engine, the neuron branch-and-bound of
 /// [`crate::bab`], switches nodes from phase branching to the big-M
 /// MILP's LP rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// Pick per query: [`Engine::HybridBab`] for box-only specs with
-    /// ≥ 32 features (e.g. the 84-feature scenario box, where LP
-    /// relaxations are weak and symbolic propagation shines),
-    /// [`Engine::Milp`] for low-dimensional boxes, where the joint LP
-    /// relaxation is strong, and for every spec with linear constraints.
-    /// The default.
+    /// Pick per query from one fixed-slope symbolic analysis of the root
+    /// box: a root that leaves at most [`AUTO_HAND_OFF_UNSTABLE`] neurons
+    /// unstable is handed off at once, as under [`Engine::Milp`]; any
+    /// other query branches on neurons, as under [`Engine::HybridBab`].
+    /// Linear constraints do not enter the count (the analysis sees only
+    /// the box). The default.
     #[default]
     Auto,
     /// Neuron branching with symbolic re-propagation and LP bounding per
@@ -227,8 +238,11 @@ pub struct VerifierOptions {
     /// Where the search switches nodes to the LP rule.
     pub engine: Engine,
     /// Switch a BaB node to the LP rule once at most this many neurons
-    /// remain unstable (whenever the engine resolves to
-    /// [`Engine::HybridBab`]).
+    /// remain unstable, under [`Engine::HybridBab`] and for the queries
+    /// [`Engine::Auto`] sends to neuron branching. The root decision of
+    /// [`Engine::Auto`] uses [`AUTO_HAND_OFF_UNSTABLE`] instead: nodes
+    /// below the root solve their LP rule on the encoding's base bounds,
+    /// so a larger in-search threshold slows the wide queries down.
     pub milp_threshold: usize,
     /// Wall-clock limit per query; `None` = unlimited.
     pub time_limit: Option<Duration>,
@@ -320,15 +334,20 @@ impl Verifier {
         self
     }
 
-    /// Search options of a query over `spec`. The engine is read here
-    /// and only here: it picks the LP-rule hand-off threshold.
-    fn bab_options(&self, spec: &InputSpec) -> BabOptions {
+    /// Search options of a query of `net` over `spec`. The engine is read
+    /// here and only here: it picks the LP-rule hand-off threshold.
+    fn bab_options(&self, net: &Network, spec: &InputSpec) -> Result<BabOptions, VerifyError> {
         let branch = match self.opts.engine {
             Engine::HybridBab => true,
             Engine::Milp => false,
-            Engine::Auto => spec.constraints().is_empty() && spec.num_inputs() >= 32,
+            Engine::Auto => {
+                // The unstable set does not depend on the objective.
+                let root = PhaseAnalyzer::new(net, spec.bounds())?
+                    .analyze(&[], &LinearObjective::combination(Vec::new()))?;
+                root.unstable.len() > AUTO_HAND_OFF_UNSTABLE
+            }
         };
-        BabOptions {
+        Ok(BabOptions {
             time_limit: self.opts.time_limit,
             node_limit: self.opts.node_limit,
             abs_gap: self.opts.abs_gap,
@@ -343,7 +362,7 @@ impl Verifier {
             warm_start: self.opts.warm_start,
             alpha_iters: self.opts.alpha_iters,
             lp_skip: self.opts.lp_skip,
-        }
+        })
     }
 
     /// Computes (or bounds) `max f(out(x))` over `spec` (Table II rows 1–6:
@@ -364,7 +383,7 @@ impl Verifier {
             net,
             spec,
             objective,
-            &self.bab_options(spec),
+            &self.bab_options(net, spec)?,
             self.deadline.clone(),
             self.checkpoints.as_ref(),
         )?;
@@ -426,7 +445,7 @@ impl Verifier {
         let opts = BabOptions {
             target_objective: Some(threshold + 1e-9),
             bound_cutoff: Some(threshold),
-            ..self.bab_options(spec)
+            ..self.bab_options(net, spec)?
         };
         let r = bab_maximize_ckpt(
             net,
@@ -465,6 +484,7 @@ impl Verifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::property::{LinearConstraint, Relation};
     use certnn_linalg::Interval;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -661,6 +681,63 @@ mod tests {
                 "lp_forced",
             ]
         );
+    }
+
+    /// `Engine::Auto` routes by the root's unstable count: at most
+    /// [`AUTO_HAND_OFF_UNSTABLE`] hands the query off at the root, more
+    /// branches on neurons, whatever the input dimension, and linear
+    /// constraints follow the same count.
+    #[test]
+    fn auto_routes_by_the_roots_unstable_count() {
+        let root_unstable = |net: &Network, spec: &InputSpec| {
+            PhaseAnalyzer::new(net, spec.bounds())
+                .unwrap()
+                .analyze(&[], &LinearObjective::output(0))
+                .unwrap()
+                .unstable
+                .len()
+        };
+        let cut = LinearConstraint {
+            terms: vec![(0, 1.0), (1, -1.0)],
+            relation: Relation::Le,
+            rhs: 0.5,
+        };
+        let auto = Verifier::new();
+        let branching = VerifierOptions::default().milp_threshold;
+        let cases = [
+            (Network::relu_mlp(84, &[10, 10], 1, 7).unwrap(), unit_spec(84)),
+            (Network::relu_mlp(84, &[20, 20], 1, 7).unwrap(), unit_spec(84)),
+            (Network::relu_mlp(3, &[20, 20], 1, 7).unwrap(), unit_spec(3)),
+        ];
+        let mut routes = Vec::new();
+        for (net, spec) in &cases {
+            let unstable = root_unstable(net, spec);
+            let want = if unstable <= AUTO_HAND_OFF_UNSTABLE {
+                usize::MAX
+            } else {
+                branching
+            };
+            let constrained = spec.clone().constrain(cut.clone());
+            for spec in [spec, &constrained] {
+                let got = auto.bab_options(net, spec).unwrap().milp_threshold;
+                assert_eq!(got, want, "{} inputs, {unstable} unstable", spec.num_inputs());
+            }
+            routes.push((spec.num_inputs(), unstable, want));
+        }
+        // The cases cover both routes, the 84-input box on each of them.
+        assert!(routes[0].1 <= AUTO_HAND_OFF_UNSTABLE, "{routes:?}");
+        assert!(routes[1].1 > AUTO_HAND_OFF_UNSTABLE, "{routes:?}");
+        assert!(routes[2].1 > AUTO_HAND_OFF_UNSTABLE, "{routes:?}");
+        // The explicit engines ignore the count.
+        for (engine, want) in [(Engine::HybridBab, branching), (Engine::Milp, usize::MAX)] {
+            let v = Verifier::with_options(VerifierOptions {
+                engine,
+                ..VerifierOptions::default()
+            });
+            for (net, spec) in &cases {
+                assert_eq!(v.bab_options(net, spec).unwrap().milp_threshold, want);
+            }
+        }
     }
 
     #[test]

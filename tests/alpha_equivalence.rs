@@ -6,19 +6,27 @@
 //! (within the `abs_gap` contract) and degradation tags may not move —
 //! on direct verifier queries and on the end-to-end Table II smoke
 //! pipeline.
+//!
+//! Per-node α refinement and the skip gate act on the phase rule only.
+//! The direct queries' roots leave at most 20 neurons unstable, which
+//! `Engine::Auto` hands off at the root, so they pin
+//! `Engine::HybridBab`; under a root hand-off only the encoding's
+//! presolve would vary.
 
 use certnn_bench::table2::{run_table2, Table2Config};
 use certnn_nn::network::Network;
 use certnn_verify::property::{InputSpec, LinearObjective};
-use certnn_verify::verifier::{Verifier, VerifierOptions};
+use certnn_verify::verifier::{Engine, Verifier, VerifierOptions};
 use certnn_linalg::Interval;
 
 fn unit_spec(n: usize) -> InputSpec {
     InputSpec::from_box(vec![Interval::new(-1.0, 1.0); n]).unwrap()
 }
 
+/// Neuron branching at the given α and skip settings.
 fn options(alpha_iters: usize, lp_skip: bool) -> VerifierOptions {
     VerifierOptions {
+        engine: Engine::HybridBab,
         alpha_iters,
         lp_skip,
         ..VerifierOptions::default()
@@ -85,7 +93,10 @@ fn prove_below_verdicts_identical_across_settings() {
 /// End-to-end determinism contract behind `./ci --bench-smoke`'s alpha
 /// leg: the Table II smoke pipeline must return bit-identical verdicts
 /// with tuning off and at the tuned defaults, and the tuned run must
-/// actually exercise the skip gate.
+/// actually exercise the skip gate. `Engine::Auto` routes the rows as
+/// the pipeline ships: I4×4's root leaves 15 neurons unstable and hands
+/// off at the root, I4×6's leaves 24 and branches on neurons, so the
+/// leg needs I4×6 to reach the per-node α refinement and the skip gate.
 #[test]
 fn table2_smoke_verdicts_identical_with_and_without_alpha() {
     let mut config = Table2Config::smoke_test();
@@ -117,6 +128,13 @@ fn table2_smoke_verdicts_identical_with_and_without_alpha() {
     // set — otherwise the gate is dead code at its shipped settings.
     let skipped: usize = tuned.rows.iter().map(|r| r.stats.lp_skipped).sum();
     assert!(skipped > 0, "lp-skip gate never fired on the smoke config");
+    // A root hand-off runs no phase-rule LP, so a forced LP marks a row
+    // that branched on neurons.
+    assert!(
+        tuned.rows.iter().any(|r| r.stats.lp_forced > 0),
+        "no smoke row branched on neurons: {:?}",
+        tuned.rows.iter().map(|r| (&r.label, r.stats.lp_forced)).collect::<Vec<_>>()
+    );
     let solves = |rows: &[certnn_bench::table2::Table2Row]| -> usize {
         rows.iter().map(|r| r.stats.warm_solves + r.stats.cold_solves).sum()
     };

@@ -29,8 +29,9 @@ fn run_query(threads: usize) -> MaxResult {
     let spec =
         InputSpec::from_box(vec![Interval::new(-1.0, 1.0); 4]).expect("unit box");
     let obj = LinearObjective::output(0);
-    // Auto routes 4-input boxes to the pure MILP engine; force the
-    // branch-and-bound path so bab.* spans and counters are exercised.
+    // The network has 18 ReLUs, so Auto, which routes by the root's
+    // unstable count, would hand the query off at the root; force neuron
+    // branching so the phase rule's spans and counters are exercised.
     Verifier::with_options(VerifierOptions {
         engine: Engine::HybridBab,
         threads,
