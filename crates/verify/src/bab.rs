@@ -406,6 +406,8 @@ struct CkptRuntime {
     /// Single-writer gate: at most one worker serializes at a time;
     /// others skip their cadence check instead of queueing.
     writing: AtomicBool,
+    /// How long the latest snapshot took to build and write, ns.
+    last_write_nanos: AtomicU64,
 }
 
 /// Frontier fields restored from a resumed snapshot (defaults for a
@@ -716,8 +718,15 @@ impl SearchState {
         if f.halt.is_some() || f.failed {
             return None;
         }
-        let due_nodes = f.nodes.saturating_sub(f.last_ckpt_nodes) >= rt.every_nodes;
-        let due_time = f.last_ckpt_at.elapsed() >= rt.every;
+        // The node cadence waits until the search has run at least as
+        // long since the last snapshot as that snapshot took to write, so
+        // writing costs at most half the wall time however small
+        // `every_nodes` is.
+        let since = f.last_ckpt_at.elapsed();
+        let last_write = Duration::from_nanos(rt.last_write_nanos.load(AtomicOrdering::Relaxed));
+        let due_nodes =
+            f.nodes.saturating_sub(f.last_ckpt_nodes) >= rt.every_nodes && since >= 2 * last_write;
+        let due_time = since >= rt.every;
         if !due_nodes && !due_time {
             return None;
         }
@@ -875,6 +884,8 @@ fn serialize_and_write(rt: &CkptRuntime, job: &SnapshotJob, incumbent: Option<(V
             certnn_obs::event("ckpt.write_failed", vec![("error", e.to_string().into())]);
         }
     }
+    let took = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    rt.last_write_nanos.store(took, AtomicOrdering::Relaxed);
     rt.writing.store(false, AtomicOrdering::Release);
 }
 
@@ -1236,6 +1247,7 @@ pub fn bab_maximize_ckpt(
             run_start: start,
             prior_elapsed_nanos,
             writing: AtomicBool::new(false),
+            last_write_nanos: AtomicU64::new(0),
         });
     }
 

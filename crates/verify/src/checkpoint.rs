@@ -21,9 +21,14 @@
 //! frontier. Every section carries its own FNV-1a checksum and the body
 //! carries the sealed trailer, so any single-byte corruption — torn
 //! write, bit flip, truncation — is detected before anything is trusted.
+//! The warm-start pool and the frontier write their counts, basis and
+//! history indices, depths, sequence numbers and pool references as
+//! LEB128 varints ([`Enc::var`]): every snapshot rewrites the whole
+//! frontier, and most of these integers fit in one byte.
 //! Older versions are rejected like any other unreadable snapshot:
-//! version 1, whose trailer also covered magic and version, and
-//! version 2, whose nodes carried no node rule.
+//! version 1, whose trailer also covered magic and version, version 2,
+//! whose nodes carried no node rule, and version 3, which wrote every
+//! integer as eight bytes.
 //!
 //! # What is (and is not) trusted from disk
 //!
@@ -67,7 +72,7 @@ use std::time::Duration;
 pub const MAGIC: [u8; 4] = *b"CNCK";
 
 /// Current format version. Readers reject anything else.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Default [`CheckpointPolicy::every_nodes`].
 pub const DEFAULT_EVERY_NODES: usize = 64;
@@ -162,7 +167,10 @@ pub struct CheckpointPolicy {
     /// Directory holding the per-query checkpoint files.
     pub dir: PathBuf,
     /// Snapshot after this many newly processed nodes (whichever of the
-    /// two cadences fires first). Clamped to at least 1.
+    /// two cadences fires first). Clamped to at least 1. The search also
+    /// runs at least as long between two node-cadence snapshots as the
+    /// earlier one took to write, so a small value costs at most half
+    /// the wall time instead of a write per node.
     pub every_nodes: usize,
     /// Snapshot after this much wall time since the last one.
     pub every: Duration,
@@ -447,28 +455,28 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
     encode_section(&mut out, SEC_INCUMBENT, &inc);
 
     let mut pool = Enc::new();
-    pool.u64(snap.warm_pool.len() as u64);
+    pool.var(snap.warm_pool.len() as u64);
     for d in &snap.warm_pool {
-        pool.u64(d.m);
-        pool.u64(d.n_struct);
-        pool.u64(d.basis.len() as u64);
+        pool.var(d.m);
+        pool.var(d.n_struct);
+        pool.var(d.basis.len() as u64);
         for &b in &d.basis {
-            pool.u64(b);
+            pool.var(b);
         }
         pool.bytes(&d.status);
-        pool.u64(d.factor.len() as u64);
+        pool.var(d.factor.len() as u64);
         for &j in &d.factor {
-            pool.u64(j);
+            pool.var(j);
         }
     }
     encode_section(&mut out, SEC_WARM_POOL, &pool);
 
     let mut fr = Enc::new();
-    fr.u64(snap.frontier.len() as u64);
+    fr.var(snap.frontier.len() as u64);
     for n in &snap.frontier {
         fr.f64(n.bound);
-        fr.u64(n.depth);
-        fr.u64(n.seq);
+        fr.var(n.depth);
+        fr.var(n.seq);
         fr.u8(n.retries);
         fr.u8(u8::from(n.lp_rule));
         fr.bytes(&n.phases);
@@ -476,13 +484,14 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
             None => fr.u8(0),
             Some(a) => {
                 fr.u8(1);
-                fr.u64(a.len() as u64);
+                fr.var(a.len() as u64);
                 for &v in a {
                     fr.f64(v);
                 }
             }
         }
-        fr.u64(n.warm_idx.map_or(u64::MAX, |w| w));
+        // 0 for no basis, else the pool index plus one.
+        fr.var(n.warm_idx.map_or(0, |w| w.wrapping_add(1)));
     }
     encode_section(&mut out, SEC_FRONTIER, &fr);
 
@@ -543,19 +552,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     }
 
     let mut p = Dec::new(section(&mut dec, SEC_WARM_POOL)?);
-    let pool_len = p.len(32)?;
+    let pool_len = p.var_len(12)?;
     let mut warm_pool = Vec::with_capacity(pool_len);
     for _ in 0..pool_len {
-        let m = p.u64()?;
-        let n_struct = p.u64()?;
-        let bl = p.len(8)?;
-        let mut basis = Vec::with_capacity(bl);
-        for _ in 0..bl {
-            basis.push(p.u64()?);
-        }
+        let m = p.var()?;
+        let n_struct = p.var()?;
+        let bl = p.var_len(1)?;
+        let basis = (0..bl).map(|_| p.var()).collect::<Result<_, _>>()?;
         let status = p.bytes()?.to_vec();
-        let fl = p.len(8)?;
-        let factor = (0..fl).map(|_| p.u64()).collect::<Result<_, _>>()?;
+        let fl = p.var_len(1)?;
+        let factor = (0..fl).map(|_| p.var()).collect::<Result<_, _>>()?;
         warm_pool.push(WarmDesc { m, n_struct, basis, status, factor });
     }
     if !p.done() {
@@ -563,12 +569,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     }
 
     let mut fdec = Dec::new(section(&mut dec, SEC_FRONTIER)?);
-    let n_nodes = fdec.len(35)?;
+    let n_nodes = fdec.var_len(22)?;
     let mut frontier = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let bound = fdec.f64()?;
-        let depth = fdec.u64()?;
-        let seq = fdec.u64()?;
+        let depth = fdec.var()?;
+        let seq = fdec.var()?;
         let retries = fdec.u8()?;
         let lp_rule = match fdec.u8()? {
             0 => false,
@@ -579,7 +585,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         let alpha = match fdec.u8()? {
             0 => None,
             1 => {
-                let al = fdec.len(8)?;
+                let al = fdec.var_len(8)?;
                 let mut a = Vec::with_capacity(al);
                 for _ in 0..al {
                     a.push(fdec.f64()?);
@@ -588,10 +594,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
             }
             _ => return Err(CheckpointError::Malformed("bad alpha flag")),
         };
-        let warm_idx = match fdec.u64()? {
-            u64::MAX => None,
-            w => Some(w),
-        };
+        let warm_idx = fdec.var()?.checked_sub(1);
         frontier.push(SnapshotNode {
             bound,
             depth,
@@ -754,6 +757,25 @@ mod tests {
         "ffffffffffffff08fbab87588fc012765ba0399834c4b0",
     );
 
+    /// `encode_snapshot(&sample_snapshot())` as format version 3 wrote
+    /// it, with every integer eight bytes wide.
+    const V3_FIXTURE: &str = concat!(
+        "434e434b030000000131000000000000000df0fecaefbeadde07000000000000",
+        "002a00000000000000630000000000000087d6120000000000000000000000f0",
+        "ff049af0e68fabaecd4702290000000000000001030000000000000000000000",
+        "0000d03f000000000000f0bf000000000000e03f000000000000fc3f4bdc7ff1",
+        "9a75c16703650000000000000001000000000000000200000000000000030000",
+        "0000000000020000000000000000000000000000000400000000000000050000",
+        "0000000000000102010004000000000000000300000000000000040000000000",
+        "0000000000000000000000000000000000003379c4b508957727048e00000000",
+        "00000002000000000000000000000000000c4002000000000000000b00000000",
+        "0000000000040000000000000000010200010400000000000000000000000000",
+        "0000000000000000e03f000000000000f03f000000000000d03f000000000000",
+        "0000000000000000f43f05000000000000001100000000000000010104000000",
+        "000000000202010000ffffffffffffffffd34161571dd5d36177f752ef82d4f8",
+        "ca",
+    );
+
     fn from_hex(hex: &str) -> Vec<u8> {
         (0..hex.len())
             .step_by(2)
@@ -774,6 +796,14 @@ mod tests {
         assert_eq!(
             decode_snapshot(&from_hex(V2_FIXTURE)),
             Err(CheckpointError::UnsupportedVersion(2))
+        );
+    }
+
+    #[test]
+    fn v3_fixture_is_rejected_as_unsupported_version() {
+        assert_eq!(
+            decode_snapshot(&from_hex(V3_FIXTURE)),
+            Err(CheckpointError::UnsupportedVersion(3))
         );
     }
 

@@ -225,7 +225,8 @@ pub fn degradation_from_code(v: u8) -> Result<Degradation, CodecError> {
     })
 }
 
-/// Little-endian encoder.
+/// Little-endian encoder (fixed-width integers, or LEB128 varints
+/// through [`Enc::var`]).
 #[derive(Debug, Default)]
 pub struct Enc(pub Vec<u8>);
 
@@ -244,6 +245,17 @@ impl Enc {
     #[inline]
     pub fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    /// Appends a `u64` as an unsigned LEB128 varint: seven bits per byte,
+    /// low group first, the high bit set on every byte but the last, so
+    /// an index below 128 takes one byte instead of eight.
+    #[inline]
+    pub fn var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.0.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.0.push(v as u8);
     }
     /// Appends an `f64` by bit pattern (bit-exact round trip).
     #[inline]
@@ -308,6 +320,34 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
+    /// Reads a varint written by [`Enc::var`]. Only the shortest form is
+    /// accepted, so decoding and re-encoding reproduce the input bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] when the input ends inside the varint,
+    /// [`CodecError::Malformed`] when it overflows 64 bits or carries a
+    /// trailing zero group.
+    #[inline]
+    pub fn var(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(CodecError::Malformed("varint overflows u64"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(CodecError::Malformed("varint not in shortest form"));
+                }
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
     /// Reads an `f64` by bit pattern.
     #[inline]
     pub fn f64(&mut self) -> Result<f64, CodecError> {
@@ -320,6 +360,18 @@ impl<'a> Dec<'a> {
     #[inline]
     pub fn len(&mut self, elem_bytes: usize) -> Result<usize, CodecError> {
         let n = self.u64()?;
+        self.realisable(n, elem_bytes)
+    }
+
+    /// [`Dec::len`] for a length prefix written by [`Enc::var`].
+    #[inline]
+    pub fn var_len(&mut self, elem_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.var()?;
+        self.realisable(n, elem_bytes)
+    }
+
+    #[inline]
+    fn realisable(&self, n: u64, elem_bytes: usize) -> Result<usize, CodecError> {
         let n = usize::try_from(n).map_err(|_| CodecError::Malformed("length overflow"))?;
         let remaining = self.buf.len() - self.pos;
         if elem_bytes > 0 && n > remaining / elem_bytes {
@@ -394,6 +446,41 @@ mod tests {
         e3.u64(u64::MAX);
         let mut d3 = Dec::new(&e3.0);
         assert!(d3.len(8).is_err());
+    }
+
+    #[test]
+    fn varints_round_trip_in_shortest_form_only() {
+        for (v, width) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::MAX, 10),
+        ] {
+            let mut e = Enc::new();
+            e.var(v);
+            assert_eq!(e.0.len(), width, "{v}");
+            let mut d = Dec::new(&e.0);
+            assert_eq!(d.var().unwrap(), v);
+            d.finish().unwrap();
+            // Every proper prefix ends inside the varint.
+            for cut in 0..e.0.len() {
+                assert!(matches!(
+                    Dec::new(&e.0[..cut]).var(),
+                    Err(CodecError::Truncated { .. })
+                ));
+            }
+        }
+        // A trailing zero group and a 65th bit are rejected.
+        assert!(Dec::new(&[0x80, 0x00]).var().is_err());
+        let mut over = vec![0xff; 9];
+        over.push(0x02);
+        assert!(Dec::new(&over).var().is_err());
+        // Varint length prefixes get the same allocation guard.
+        let mut e = Enc::new();
+        e.var(u64::MAX);
+        assert!(Dec::new(&e.0).var_len(1).is_err());
     }
 
     #[test]
