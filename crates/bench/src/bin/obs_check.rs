@@ -88,9 +88,9 @@ fn validate(path: &str) -> Result<(), String> {
 /// cadence (no resume — this is the clean-run cost of being killable).
 fn timed_smoke_with(ckpt_dir: Option<&Path>) -> Result<(Table2Result, f64), String> {
     let mut config = Table2Config::smoke_test();
-    config.threads = 1;
+    config.run.threads = 1;
     if let Some(dir) = ckpt_dir {
-        config.checkpoints = Some(CheckpointPolicy::new(dir));
+        config.run.checkpoints = Some(CheckpointPolicy::new(dir));
     }
     let start = Instant::now();
     let result = run_table2(&config).map_err(|e| format!("smoke run failed: {e}"))?;
@@ -215,7 +215,7 @@ fn timed_serve_fleet(tag: &str, run: usize) -> Result<(FleetResult, f64), String
     .map_err(|e| format!("cannot start daemon: {e}"))?;
     let mut config = FleetConfig::smoke_test();
     config.fleet_size = 2;
-    config.threads = 1;
+    config.run.threads = 1;
     let start = Instant::now();
     let result =
         run_fleet_over(server.addr(), &config).map_err(|e| format!("serve fleet failed: {e}"))?;

@@ -11,12 +11,14 @@
 //! ablations: `verify_scaling`, `bounds_ablation`, `mcdc_coverage`,
 //! `quantized_verify`, `simplex`.
 //!
-//! Report binaries write their text artifacts under `target/reports/`.
+//! Report binaries write their text artifacts under `target/reports/`;
+//! `table2` and `fleet` share their command line through [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
+pub mod cli;
 pub mod figure1;
 pub mod hints;
 pub mod json;

@@ -24,6 +24,7 @@
 //! commercial solver; the *shape* (super-linear, non-monotone growth and
 //! a cheaper decision query) is the reproduction target.
 
+use certnn_core::run::RunOptions;
 use certnn_core::scenario::{left_vehicle_spec, max_lateral_velocity, prove_lateral_below};
 use certnn_core::CoreError;
 use certnn_datacheck::highway::highway_validator;
@@ -33,14 +34,10 @@ use certnn_nn::network::Network;
 use certnn_nn::train::{Dataset, TrainConfig, Trainer};
 use certnn_sim::features::FEATURE_COUNT;
 use certnn_sim::scenario::{generate_dataset, ScenarioConfig};
-use certnn_verify::bab::resolve_threads;
-use certnn_verify::checkpoint::CheckpointPolicy;
-use certnn_verify::verifier::{Verdict, Verifier, VerifierOptions, VerifyStats};
+use certnn_verify::property::InputSpec;
+use certnn_verify::verifier::{Verdict, Verifier, VerifyStats};
 use certnn_verify::{Deadline, Degradation};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 use std::time::Duration;
 
 /// The paper's reported rows, for side-by-side printing.
@@ -57,12 +54,10 @@ pub const PAPER_ROWS: [(&str, Option<f64>, &str); 6] = [
 pub const PAPER_PROOF_ROW: (&str, f64, &str) = ("I4x60", 3.0, "11059.8s");
 
 /// Configuration of the Table II reproduction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Config {
     /// Hidden widths to verify (`I4×N` per entry).
     pub widths: Vec<usize>,
-    /// Wall-clock limit per verification query.
-    pub time_limit: Duration,
     /// Mixture components of the trained predictors.
     pub mixture_components: usize,
     /// Training epochs.
@@ -73,34 +68,17 @@ pub struct Table2Config {
     pub proof_threshold: f64,
     /// Base seed; network `i` trains from `seed + i`.
     pub seed: u64,
-    /// Widths trained/verified concurrently: `0` = one worker per
-    /// available core, `1` = serial. Per-width work is deterministic
-    /// given its seed, so the thread count only changes the wall time —
-    /// never the table.
-    pub threads: usize,
-    /// Reuse parent LP bases across branch-and-bound nodes (dual-simplex
-    /// warm start). Verdict-preserving; disable to benchmark the cold
-    /// path.
-    pub warm_start: bool,
-    /// α-optimization rounds per branch-and-bound node (see
-    /// [`VerifierOptions::alpha_iters`]); `0` reproduces the fixed-slope
-    /// heuristic bit-for-bit.
-    pub alpha_iters: usize,
-    /// Skip per-node LP relaxations far above the prune level (see
-    /// [`VerifierOptions::lp_skip`]).
-    pub lp_skip: bool,
-    /// Crash-safe checkpointing of every verification query (see
-    /// [`CheckpointPolicy`]); the policy's `seed` is overridden by
+    /// Run knobs: threads, per-query time limit, solver settings and
+    /// checkpoints. The checkpoint policy's `seed` is overridden by
     /// [`Table2Config::seed`] so snapshots are keyed to this run's exact
-    /// search tree. `None` disables checkpointing.
-    pub checkpoints: Option<CheckpointPolicy>,
+    /// search tree.
+    pub run: RunOptions,
 }
 
 impl Default for Table2Config {
     fn default() -> Self {
         Self {
             widths: vec![4, 6, 8, 10, 12, 14],
-            time_limit: Duration::from_secs(150),
             mixture_components: 2,
             epochs: 60,
             scenario: ScenarioConfig {
@@ -114,11 +92,7 @@ impl Default for Table2Config {
             },
             proof_threshold: 3.0,
             seed: 7,
-            threads: 0,
-            warm_start: true,
-            alpha_iters: certnn_verify::bab::DEFAULT_ALPHA_ITERS,
-            lp_skip: true,
-            checkpoints: None,
+            run: RunOptions::new(Duration::from_secs(150)),
         }
     }
 }
@@ -128,7 +102,6 @@ impl Table2Config {
     pub fn smoke_test() -> Self {
         Self {
             widths: vec![4, 6],
-            time_limit: Duration::from_secs(30),
             mixture_components: 1,
             epochs: 5,
             scenario: ScenarioConfig {
@@ -142,11 +115,7 @@ impl Table2Config {
             },
             proof_threshold: 3.0,
             seed: 1,
-            threads: 0,
-            warm_start: true,
-            alpha_iters: certnn_verify::bab::DEFAULT_ALPHA_ITERS,
-            lp_skip: true,
-            checkpoints: None,
+            run: RunOptions::new(Duration::from_secs(30)),
         }
     }
 }
@@ -263,27 +232,19 @@ impl Table2Result {
     }
 }
 
-/// Read-only context shared by the per-width workers.
-struct WidthCtx<'a> {
-    config: &'a Table2Config,
-    data: &'a Dataset,
-    layout: OutputLayout,
-    loss: &'a GmmNll,
-    spec: &'a certnn_verify::property::InputSpec,
-    verifier: &'a Verifier,
-}
-
-/// A per-width result slot filled by whichever worker claims the index.
-type WidthSlot = Mutex<Option<Result<(Table2Row, Network), CoreError>>>;
-
-/// Trains and verifies one width of the table. Deterministic given the
+/// Trains and verifies width `i` of the table. Deterministic given the
 /// config; independent of every other width.
-fn run_width(ctx: &WidthCtx, i: usize, width: usize) -> Result<(Table2Row, Network), CoreError> {
-    let config = ctx.config;
-    let layout = ctx.layout;
+fn run_width(
+    config: &Table2Config,
+    i: usize,
+    data: &Dataset,
+    spec: &InputSpec,
+    verifier: &Verifier,
+) -> Result<(Table2Row, Network), CoreError> {
+    let layout = OutputLayout::new(config.mixture_components);
     let mut net = Network::relu_mlp(
         FEATURE_COUNT,
-        &[width; 4],
+        &[config.widths[i]; 4],
         layout.output_len(),
         config.seed + i as u64,
     )?;
@@ -294,10 +255,11 @@ fn run_width(ctx: &WidthCtx, i: usize, width: usize) -> Result<(Table2Row, Netwo
         weight_decay: 5e-4,
         ..TrainConfig::default()
     };
-    Trainer::new(train_cfg).train(&mut net, ctx.data, ctx.loss)?;
+    let loss = GmmNll::new(config.mixture_components);
+    Trainer::new(train_cfg).train(&mut net, data, &loss)?;
     eprintln!("[table2] {} trained; verifying...", net.label());
 
-    let result = max_lateral_velocity(ctx.verifier, &net, layout, ctx.spec)?;
+    let result = max_lateral_velocity(verifier, &net, layout, spec)?;
     eprintln!(
         "[table2] {} verified: max {:?} in {:.1?} ({} nodes)",
         net.label(),
@@ -321,12 +283,11 @@ fn run_width(ctx: &WidthCtx, i: usize, width: usize) -> Result<(Table2Row, Netwo
 
 /// Runs the full Table II experiment.
 ///
-/// Per-width queries are independent, so they are dispatched to
-/// [`Table2Config::threads`] scoped workers pulling width indices from a
-/// shared counter; rows land in paper order regardless of completion
-/// order. Note that concurrent widths share the machine, so per-row wall
-/// times measured at `threads > 1` are only comparable within the same
-/// thread count.
+/// Per-width queries are independent, so they run on
+/// [`RunOptions::run_jobs`] workers; rows land in paper order regardless
+/// of completion order. Note that concurrent widths share the machine,
+/// so per-row wall times measured at `threads > 1` are only comparable
+/// within the same thread count.
 ///
 /// # Errors
 ///
@@ -338,7 +299,7 @@ pub fn run_table2(config: &Table2Config) -> Result<Table2Result, CoreError> {
 
 /// [`run_table2`] under an ambient [`Deadline`]/cancellation token,
 /// threaded through every width's verifier down to simplex pivot batches
-/// (tightened per query by [`Table2Config::time_limit`]). Expired rows
+/// (tightened per query by [`RunOptions::time_limit`]). Expired rows
 /// report sound partial bounds tagged with their [`Degradation`].
 ///
 /// # Errors
@@ -357,62 +318,24 @@ pub fn run_table2_under(
     let training_samples = raw.len();
     let data = Dataset::from_samples(raw);
     let layout = OutputLayout::new(config.mixture_components);
-    let loss = GmmNll::new(config.mixture_components);
     let spec = left_vehicle_spec();
-    let workers = resolve_threads(config.threads).min(config.widths.len().max(1));
-    let mut verifier = Verifier::with_options(VerifierOptions {
-        time_limit: Some(config.time_limit),
-        // Outer width-parallelism saturates the cores; keep the inner
-        // search serial to avoid oversubscription. A lone worker hands
-        // its cores to the search instead.
-        threads: if workers > 1 { 1 } else { config.threads },
-        warm_start: config.warm_start,
-        alpha_iters: config.alpha_iters,
-        lp_skip: config.lp_skip,
-        ..VerifierOptions::default()
-    })
-    .with_deadline(deadline);
-    if let Some(ckpt) = &config.checkpoints {
+    let mut run = config.run.clone();
+    if let Some(policy) = &mut run.checkpoints {
         // Key snapshots to this run's seed: a checkpoint only ever meets
         // a search that will walk the identical tree.
-        let mut policy = ckpt.clone();
         policy.seed = config.seed;
-        verifier = verifier.with_checkpoints(policy);
     }
+    let verifier = run.verifier(config.widths.len(), deadline);
 
-    let ctx = WidthCtx {
-        config,
-        data: &data,
-        layout,
-        loss: &loss,
-        spec: &spec,
-        verifier: &verifier,
-    };
-    let slots: Vec<WidthSlot> = (0..config.widths.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= config.widths.len() {
-                    break;
-                }
-                let out = run_width(&ctx, i, config.widths[i]);
-                // Poison-tolerant: a panicked width worker must not wedge
-                // collection of the surviving rows.
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
+    let outs = run.run_jobs(config.widths.len(), |i| {
+        run_width(config, i, &data, &spec, &verifier)
     });
 
     let mut rows = Vec::new();
     let mut largest: Option<Network> = None;
     let mut largest_closed: Option<Network> = None;
-    for slot in slots {
-        let (row, net) = slot
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .expect("every width index was claimed by a worker")?;
+    for out in outs {
+        let (row, net) = out?;
         if row.max_lateral.is_some() {
             largest_closed = Some(net.clone());
         }

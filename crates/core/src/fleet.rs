@@ -9,6 +9,7 @@
 //! bound. The lesson is the paper's core argument for formal analysis:
 //! clean data alone does not certify the *function* the optimiser found.
 
+use crate::run::RunOptions;
 use crate::scenario::{left_vehicle_spec, max_lateral_velocity};
 use crate::CoreError;
 use certnn_datacheck::highway::highway_validator;
@@ -18,18 +19,14 @@ use certnn_nn::network::Network;
 use certnn_nn::train::{Dataset, TrainConfig, Trainer};
 use certnn_sim::features::FEATURE_COUNT;
 use certnn_sim::scenario::{generate_dataset, ScenarioConfig};
-use certnn_verify::bab::resolve_threads;
-use certnn_verify::checkpoint::CheckpointPolicy;
-use certnn_verify::verifier::{Verifier, VerifierOptions, VerifyStats};
+use certnn_verify::verifier::{Verifier, VerifyStats};
 use certnn_verify::Deadline;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Configuration of the fleet experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of networks to train (distinct seeds, same data).
     pub fleet_size: usize,
@@ -41,29 +38,9 @@ pub struct FleetConfig {
     pub bound: f64,
     /// Data-generation settings.
     pub scenario: ScenarioConfig,
-    /// Per-network verification time limit.
-    pub time_limit: Duration,
-    /// Members trained/verified concurrently: `0` = one worker per
-    /// available core, `1` = serial. Each member is deterministic given
-    /// its seed, so the thread count never changes the results — only
-    /// the wall-clock time.
-    pub threads: usize,
-    /// Reuse parent LP bases across branch-and-bound nodes (see
-    /// [`VerifierOptions::warm_start`]). Verdict-preserving; disable to
-    /// benchmark the cold path.
-    pub warm_start: bool,
-    /// α-optimization rounds per branch-and-bound node (see
-    /// [`VerifierOptions::alpha_iters`]); `0` reproduces the fixed-slope
-    /// heuristic bit-for-bit.
-    pub alpha_iters: usize,
-    /// Skip per-node LP relaxations far above the prune level (see
-    /// [`VerifierOptions::lp_skip`]).
-    pub lp_skip: bool,
-    /// Crash-safe checkpointing of every member's verification queries
-    /// (see [`CheckpointPolicy`]). Members verify distinct networks, so
-    /// each query checkpoints to its own file under the policy's
-    /// directory. `None` disables checkpointing.
-    pub checkpoints: Option<CheckpointPolicy>,
+    /// Run knobs: threads, per-query time limit, solver settings and
+    /// checkpoints.
+    pub run: RunOptions,
 }
 
 impl Default for FleetConfig {
@@ -82,36 +59,12 @@ impl Default for FleetConfig {
                 exclude_risky: false,
                 ..ScenarioConfig::default()
             },
-            time_limit: Duration::from_secs(60),
-            threads: 0,
-            warm_start: true,
-            alpha_iters: certnn_verify::bab::DEFAULT_ALPHA_ITERS,
-            lp_skip: true,
-            checkpoints: None,
+            run: RunOptions::new(Duration::from_secs(60)),
         }
     }
 }
 
 impl FleetConfig {
-    /// Verifier options a fleet member is verified under when `workers`
-    /// members run concurrently. Exposed so out-of-process verification
-    /// paths (the `certnn-serve` daemon) can reproduce the in-process
-    /// fleet verdicts bit-for-bit: any drift between this and what
-    /// [`run_fleet`] uses would silently fork the two code paths.
-    pub fn verifier_options(&self, workers: usize) -> VerifierOptions {
-        VerifierOptions {
-            time_limit: Some(self.time_limit),
-            // Outer query-parallelism saturates the cores; keep the inner
-            // search serial to avoid oversubscription. A lone worker hands
-            // its cores to the search instead.
-            threads: if workers > 1 { 1 } else { self.threads },
-            warm_start: self.warm_start,
-            alpha_iters: self.alpha_iters,
-            lp_skip: self.lp_skip,
-            ..VerifierOptions::default()
-        }
-    }
-
     /// Seconds-scale configuration for tests.
     pub fn smoke_test() -> Self {
         Self {
@@ -128,12 +81,7 @@ impl FleetConfig {
                 exclude_risky: false,
                 ..ScenarioConfig::default()
             },
-            time_limit: Duration::from_secs(30),
-            threads: 0,
-            warm_start: true,
-            alpha_iters: certnn_verify::bab::DEFAULT_ALPHA_ITERS,
-            lp_skip: true,
-            checkpoints: None,
+            run: RunOptions::new(Duration::from_secs(30)),
         }
     }
 }
@@ -310,11 +258,11 @@ fn run_member(
 
 /// Runs the fleet experiment.
 ///
-/// Members are independent (same data, distinct seeds), so they are
-/// dispatched to [`FleetConfig::threads`] scoped workers pulling member
-/// indices from a shared counter. Results land in seed order regardless
-/// of completion order, and each member's training/verification is fully
-/// deterministic, so the report is identical at any thread count.
+/// Members are independent (same data, distinct seeds), so they run on
+/// [`RunOptions::run_jobs`] workers. Results land in seed order
+/// regardless of completion order, and each member's
+/// training/verification is fully deterministic, so the report is
+/// identical at any thread count.
 ///
 /// # Errors
 ///
@@ -328,7 +276,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetResult, CoreError> {
 ///
 /// The deadline is threaded through every member's verifier down to
 /// individual simplex pivot batches (tightened per query by
-/// [`FleetConfig::time_limit`]); on expiry the affected members report
+/// [`RunOptions::time_limit`]); on expiry the affected members report
 /// sound partial bounds tagged `TimedOut` instead of the run hanging or
 /// crashing.
 ///
@@ -339,67 +287,40 @@ pub fn run_fleet_under(config: &FleetConfig, deadline: Deadline) -> Result<Fleet
     let (data, samples) = fleet_dataset(config)?;
     let layout = OutputLayout::new(1);
     let spec = left_vehicle_spec();
-    let workers = resolve_threads(config.threads).min(config.fleet_size.max(1));
-    let mut verifier =
-        Verifier::with_options(config.verifier_options(workers)).with_deadline(deadline);
-    if let Some(ckpt) = &config.checkpoints {
-        verifier = verifier.with_checkpoints(ckpt.clone());
-    }
-
-    let slots: Vec<Mutex<Option<Result<FleetMember, CoreError>>>> =
-        (0..config.fleet_size).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let verifier = config.run.verifier(config.fleet_size, deadline);
     let done = AtomicUsize::new(0);
     let run_span = certnn_obs::span("fleet.run");
     let run_span_id = run_span.id();
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= config.fleet_size {
-                    break;
-                }
-                let seed = member_seed(i);
-                let member_span = certnn_obs::span_child_of("fleet.member", run_span_id);
-                let member = run_member(config, seed, &data, layout, &spec, &verifier);
-                drop(member_span);
-                if certnn_obs::enabled() {
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Ok(m) = &member {
-                        certnn_obs::event(
-                            "fleet.member_done",
-                            vec![
-                                ("seed", seed.into()),
-                                ("wall_secs", m.wall_secs.into()),
-                                ("nodes", m.stats.nodes.into()),
-                                ("safe", m.safe.unwrap_or(false).into()),
-                                ("degradation", m.stats.degradation.as_str().into()),
-                            ],
-                        );
-                    }
-                    // Live progress line: only when observability is on,
-                    // so quiet runs stay byte-identical on stderr.
-                    eprintln!(
-                        "[fleet] {finished}/{} members done (seed {seed})",
-                        config.fleet_size
-                    );
-                }
-                // Poison-tolerant: a worker that panicked elsewhere must
-                // not wedge result collection for the surviving members.
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(member);
-            });
+    let members = config.run.run_jobs(config.fleet_size, |i| {
+        let seed = member_seed(i);
+        let member_span = certnn_obs::span_child_of("fleet.member", run_span_id);
+        let member = run_member(config, seed, &data, layout, &spec, &verifier);
+        drop(member_span);
+        if certnn_obs::enabled() {
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Ok(m) = &member {
+                certnn_obs::event(
+                    "fleet.member_done",
+                    vec![
+                        ("seed", seed.into()),
+                        ("wall_secs", m.wall_secs.into()),
+                        ("nodes", m.stats.nodes.into()),
+                        ("safe", m.safe.unwrap_or(false).into()),
+                        ("degradation", m.stats.degradation.as_str().into()),
+                    ],
+                );
+            }
+            // Live progress line: only when observability is on, so
+            // quiet runs stay byte-identical on stderr.
+            eprintln!(
+                "[fleet] {finished}/{} members done (seed {seed})",
+                config.fleet_size
+            );
         }
+        member
     });
     drop(run_span);
-
-    let mut members = Vec::with_capacity(config.fleet_size);
-    for slot in slots {
-        let member = slot
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .expect("every member index was claimed by a worker");
-        members.push(member?);
-    }
+    let members = members.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(FleetResult {
         members,
         bound: config.bound,

@@ -18,6 +18,8 @@
 //! * [`pipeline`] — [`pipeline::CertificationPipeline`] runs the whole
 //!   methodology end to end and emits a
 //!   [`pipeline::CertificationReport`].
+//! * [`fleet`] — the paper's fleet experiment; [`run`] holds the run
+//!   settings it shares with the Table II sweep in `certnn-bench`.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@ pub mod fleet;
 pub mod pillars;
 pub mod report;
 pub mod pipeline;
+pub mod run;
 pub mod scenario;
 
 use certnn_nn::NnError;

@@ -179,20 +179,23 @@ fn submit(client: &mut Client, args: &[String]) -> Result<(), ServeError> {
     let mut wait = false;
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        let mut value = || {
+            i += 1;
+            args.get(i)
+                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+        };
+        match flag {
             "--time-limit-ms" => {
-                i += 1;
-                let ms: u64 = args[i].parse().unwrap_or_else(|_| fail("bad time limit"));
+                let ms: u64 = value().parse().unwrap_or_else(|_| fail("bad time limit"));
                 opts.time_limit = Some(Duration::from_millis(ms));
             }
             "--node-limit" => {
-                i += 1;
-                node_limit = Some(args[i].parse().unwrap_or_else(|_| fail("bad node limit")));
+                node_limit = Some(value().parse().unwrap_or_else(|_| fail("bad node limit")));
             }
             "--cold" => opts.warm_start = false,
             "--alpha-iters" => {
-                i += 1;
-                opts.alpha_iters = args[i].parse().unwrap_or_else(|_| fail("bad alpha iters"));
+                opts.alpha_iters = value().parse().unwrap_or_else(|_| fail("bad alpha iters"));
             }
             "--no-lp-skip" => opts.lp_skip = false,
             "--wait" => wait = true,

@@ -30,6 +30,11 @@ use certnn_serve::server::{ServeOptions, Server};
 use certnn_verify::sealed::write_atomic;
 use std::path::PathBuf;
 
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut options = ServeOptions::loopback("serve-state");
     let mut port_file: Option<PathBuf> = None;
@@ -38,42 +43,31 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                options.addr = args[i].clone();
-            }
-            "--dir" => {
-                i += 1;
-                options.dir = PathBuf::from(&args[i]);
-            }
+        let flag = args[i].as_str();
+        let mut value = || {
+            i += 1;
+            args.get(i)
+                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+                .clone()
+        };
+        match flag {
+            "--addr" => options.addr = value(),
+            "--dir" => options.dir = PathBuf::from(value()),
             "--workers" => {
-                i += 1;
-                options.workers = args[i].parse().expect("workers must be an integer");
+                options.workers = value()
+                    .parse()
+                    .unwrap_or_else(|_| fail("--workers needs an integer"));
             }
             "--checkpoint-every" => {
-                i += 1;
-                options.checkpoint_every = args[i]
+                options.checkpoint_every = value()
                     .parse()
-                    .expect("checkpoint cadence must be an integer");
+                    .unwrap_or_else(|_| fail("--checkpoint-every needs an integer"));
             }
-            "--port-file" => {
-                i += 1;
-                port_file = Some(PathBuf::from(&args[i]));
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(PathBuf::from(&args[i]));
-            }
-            "--prom" => {
-                i += 1;
-                options.prom_addr = Some(args[i].clone());
-            }
+            "--port-file" => port_file = Some(PathBuf::from(value())),
+            "--trace" => trace_path = Some(PathBuf::from(value())),
+            "--prom" => options.prom_addr = Some(value()),
             "--metrics" => want_metrics = true,
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
+            other => fail(&format!("unknown argument `{other}`")),
         }
         i += 1;
     }

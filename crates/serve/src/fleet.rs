@@ -5,7 +5,8 @@
 //! seed schedule — but ships every verification query to a running
 //! `certnn-serve` daemon instead of solving in-process. Training is
 //! deterministic ([`certnn_core::fleet::train_member`]) and the daemon
-//! solves under exactly [`FleetConfig::verifier_options`], so the two
+//! solves under exactly
+//! [`certnn_core::run::RunOptions::verifier_options`], so the two
 //! paths produce **bit-identical** verdicts; the e2e suite holds them to
 //! that. All member queries are submitted before any result is awaited,
 //! so the daemon's worker pool supplies the parallelism that the local
@@ -19,7 +20,6 @@ use certnn_core::fleet::{
 };
 use certnn_core::scenario::{lateral_mean_objectives, left_vehicle_spec};
 use certnn_nn::gmm::OutputLayout;
-use certnn_verify::bab::resolve_threads;
 use certnn_verify::verifier::VerifyStats;
 use std::net::ToSocketAddrs;
 use std::time::Instant;
@@ -38,9 +38,7 @@ pub fn run_fleet_over(
     let layout = OutputLayout::new(1);
     let spec = left_vehicle_spec();
     let objectives = lateral_mean_objectives(layout);
-    // Mirror run_fleet's worker resolution: the option set depends on it.
-    let workers = resolve_threads(config.threads).min(config.fleet_size.max(1));
-    let opts = config.verifier_options(workers);
+    let opts = config.run.verifier_options(config.fleet_size);
 
     let mut client = Client::connect(addr)?;
     let mut pending = Vec::with_capacity(config.fleet_size);

@@ -170,7 +170,8 @@ pub struct WireConstraint {
 }
 
 impl JobRequest {
-    /// Builds a request from typed in-process query parts.
+    /// Builds a request from typed in-process query parts. The node
+    /// budget is `node_limit` if given, else `opts.node_limit`.
     pub fn from_query(
         net: &Network,
         spec: &InputSpec,
@@ -203,7 +204,7 @@ impl JobRequest {
             time_limit_ms: opts
                 .time_limit
                 .map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64),
-            node_limit: node_limit.map_or(0, |n| n as u64),
+            node_limit: node_limit.or(opts.node_limit).map_or(0, |n| n as u64),
             threads: opts.threads as u64,
             warm_start: opts.warm_start,
             alpha_iters: opts.alpha_iters as u64,
@@ -1106,6 +1107,27 @@ mod tests {
         let mut other = req;
         other.time_limit_ms += 1;
         assert_ne!(k1, other.job_key().expect("key"));
+    }
+
+    #[test]
+    fn from_query_takes_the_node_budget_of_the_options() {
+        let net = Network::relu_mlp(3, &[4], 2, 11).expect("tiny net");
+        let spec = InputSpec::from_box(vec![Interval::new(-1.0, 1.0); 3]).expect("box");
+        let obj = LinearObjective {
+            terms: vec![(0, 1.0)],
+            constant: 0.0,
+        };
+        let budget = |opts_limit: Option<usize>, arg: Option<usize>| {
+            let opts = VerifierOptions {
+                node_limit: opts_limit,
+                ..VerifierOptions::default()
+            };
+            JobRequest::from_query(&net, &spec, &obj, &opts, arg).node_limit
+        };
+        assert_eq!(budget(None, None), 0);
+        assert_eq!(budget(Some(77), None), 77);
+        assert_eq!(budget(None, Some(5)), 5);
+        assert_eq!(budget(Some(77), Some(5)), 5, "the explicit argument wins");
     }
 
     /// Length and FNV-1a of an encoding: pins its bytes without a

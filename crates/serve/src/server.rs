@@ -618,15 +618,24 @@ fn worker_loop(shared: &Shared) {
             format!("solver panicked: {msg}")
         })
         .and_then(|r| r.map_err(|e| e.to_string()));
-        let ckpt_written = certnn_obs::counter("ckpt.written").get() - ckpt_written0;
-        let ckpt_bytes = certnn_obs::counter("ckpt.bytes").get() - ckpt_bytes0;
+        // Saturating: the obs registry is process-global and can be reset
+        // mid-solve, and a panic here, outside the backstop, would kill
+        // this worker and strand the job Running.
+        let ckpt_written = certnn_obs::counter("ckpt.written")
+            .get()
+            .saturating_sub(ckpt_written0);
+        let ckpt_bytes = certnn_obs::counter("ckpt.bytes")
+            .get()
+            .saturating_sub(ckpt_bytes0);
         if ckpt_written > 0 || ckpt_bytes > 0 {
             flight.record(FlightKind::Checkpoint, ckpt_written, ckpt_bytes, "");
         }
         for after in certnn_obs::phase_totals() {
             let before = phases0.iter().find(|p| p.phase == after.phase);
-            let d_self = after.self_ns - before.map_or(0, |p| p.self_ns);
-            let d_count = after.count - before.map_or(0, |p| p.count);
+            let d_self = after
+                .self_ns
+                .saturating_sub(before.map_or(0, |p| p.self_ns));
+            let d_count = after.count.saturating_sub(before.map_or(0, |p| p.count));
             if d_self > 0 || d_count > 0 {
                 flight.record(FlightKind::Phase, d_self, d_count, after.phase.as_str());
             }

@@ -100,10 +100,10 @@ fn prove_below_verdicts_identical_across_settings() {
 #[test]
 fn table2_smoke_verdicts_identical_with_and_without_alpha() {
     let mut config = Table2Config::smoke_test();
-    config.threads = 1;
+    config.run.threads = 1;
     let tuned = run_table2(&config).unwrap();
-    config.alpha_iters = 0;
-    config.lp_skip = false;
+    config.run.alpha_iters = 0;
+    config.run.lp_skip = false;
     let legacy = run_table2(&config).unwrap();
 
     // Same rounding the JSON writer applies: verdicts must agree to 12

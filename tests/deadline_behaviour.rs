@@ -81,11 +81,11 @@ fn table2_respects_its_time_limit_and_reports_timed_out() {
     // One width big enough (4 hidden layers of 8) that an exact solve
     // takes far longer than the budget below, so the deadline must fire.
     let budget = Duration::from_millis(250);
-    let config = Table2Config {
+    let mut config = Table2Config {
         widths: vec![8],
-        time_limit: budget,
         ..Table2Config::smoke_test()
     };
+    config.run.time_limit = budget;
     let result = run_table2_under(&config, Deadline::none()).expect("degrade, not crash");
     assert_eq!(result.rows.len(), 1);
     let row = &result.rows[0];

@@ -124,9 +124,9 @@ fn big_m_engine_agrees_at_one_and_two_threads() {
 #[test]
 fn fleet_tables_are_identical_at_any_thread_count() {
     let mut config = FleetConfig::smoke_test();
-    config.threads = 1;
+    config.run.threads = 1;
     let serial = run_fleet(&config).unwrap();
-    config.threads = 2;
+    config.run.threads = 2;
     let parallel = run_fleet(&config).unwrap();
     assert_eq!(serial.members.len(), parallel.members.len());
     for (a, b) in serial.members.iter().zip(&parallel.members) {
@@ -141,9 +141,9 @@ fn fleet_tables_are_identical_at_any_thread_count() {
 #[test]
 fn table2_rows_are_identical_at_any_thread_count() {
     let mut config = Table2Config::smoke_test();
-    config.threads = 1;
+    config.run.threads = 1;
     let serial = run_table2(&config).unwrap();
-    config.threads = 2;
+    config.run.threads = 2;
     let parallel = run_table2(&config).unwrap();
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for (a, b) in serial.rows.iter().zip(&parallel.rows) {

@@ -24,7 +24,6 @@ use certnn_serve::client::Client;
 use certnn_serve::fleet::run_fleet_over;
 use certnn_serve::protocol::{Disposition, JobRequest};
 use certnn_serve::server::{ServeOptions, Server};
-use certnn_verify::bab::resolve_threads;
 use certnn_verify::verifier::VerifyStats;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -85,8 +84,7 @@ fn identical_submissions_cost_exactly_one_solve() {
     let spec = left_vehicle_spec();
     let layout = OutputLayout::new(1);
     let objectives = lateral_mean_objectives(layout);
-    let workers = resolve_threads(config.threads).min(config.fleet_size.max(1));
-    let opts = config.verifier_options(workers);
+    let opts = config.run.verifier_options(config.fleet_size);
 
     let dir = temp_dir("cache");
     let server = Server::start(ServeOptions::loopback(&dir)).expect("daemon starts");
@@ -174,7 +172,7 @@ fn restarted_daemon_answers_from_the_persistent_cache() {
     let (net, _) = train_member(&config, member_seed(1), &data).expect("training");
     let spec = left_vehicle_spec();
     let objectives = lateral_mean_objectives(OutputLayout::new(1));
-    let opts = config.verifier_options(1);
+    let opts = config.run.verifier_options(1);
     let req = JobRequest::from_query(&net, &spec, &objectives[0], &opts, None);
 
     let dir = temp_dir("restart");

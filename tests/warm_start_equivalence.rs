@@ -109,12 +109,12 @@ proptest! {
 #[test]
 fn table2_smoke_is_thread_invariant_and_warm_cold_agree() {
     let mut config = Table2Config::smoke_test();
-    config.threads = 1;
+    config.run.threads = 1;
     let warm1 = run_table2(&config).unwrap();
-    config.threads = 4;
+    config.run.threads = 4;
     let warm4 = run_table2(&config).unwrap();
-    config.threads = 1;
-    config.warm_start = false;
+    config.run.threads = 1;
+    config.run.warm_start = false;
     let cold1 = run_table2(&config).unwrap();
 
     // Bit-identical tables across thread counts (warm path).
