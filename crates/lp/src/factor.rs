@@ -6,7 +6,7 @@
 //! sparse eta vector instead of touching `O(m²)` inverse entries, and
 //! `ftran`/`btran` become triangular solves against L, U and the eta
 //! chain (kernels in [`certnn_linalg::kernels`]). The chain is capped —
-//! the simplex refactorizes when it grows past `SimplexOptions::eta_cap`
+//! the simplex refactorizes when it grows past its `ETA_CAP` constant
 //! or a pivot is numerically unstable — so solve cost stays bounded.
 //!
 //! The factorization is *shareable*: [`BasisFactor::freeze`] snapshots

@@ -17,8 +17,8 @@
 //!   pricing and Bland's rule as anti-cycling fallback, and reports an
 //!   exact [`LpSolution`].
 //! * Branch-and-bound re-solves the same model under tightened variable
-//!   bounds via [`Simplex::solve_with_bounds`], so bound changes never
-//!   require rebuilding the model.
+//!   bounds via [`Simplex::solve_warm`], from the parent's basis snapshot
+//!   when it has one, so bound changes never require rebuilding the model.
 //!
 //! # Example
 //!
@@ -55,7 +55,7 @@ mod simplex;
 
 pub use deadline::Deadline;
 pub use model::{LpModel, RowId, RowKind, Sense, VarId};
-pub use simplex::{Simplex, SimplexOptions, WarmSolve, WarmStart};
+pub use simplex::{Simplex, WarmSolve, WarmStart};
 
 use std::error::Error;
 use std::fmt;

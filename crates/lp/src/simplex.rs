@@ -11,59 +11,47 @@ use crate::factor::{basis_signature, BasisFactor, FrozenFactor};
 use crate::model::{LpModel, RowKind, Sense};
 use crate::obs::{elapsed_ns, lp_metrics, timer};
 use crate::{LpError, LpSolution, LpStatus, SolveError};
+use std::time::Instant;
 
 /// Pivots between cooperative deadline polls. Small enough that even a
 /// dense-pivot straggler notices expiry within a pivot batch, large
 /// enough that the `Instant::now()` cost disappears in the pivot cost.
 const DEADLINE_CHECK_EVERY: usize = 16;
 
-/// Tuning knobs for the simplex solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimplexOptions {
-    /// Pivot limit across both phases.
-    pub max_iterations: usize,
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Reduced-cost (dual feasibility) tolerance.
-    pub opt_tol: f64,
-    /// Pivot-element magnitude below which a column is rejected.
-    pub pivot_tol: f64,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub stall_limit: usize,
-    /// Recompute basic values from scratch every this many pivots; a
-    /// refresh whose drift exceeds `feas_tol` also refactorizes.
-    pub refresh_every: usize,
-    /// Product-form eta updates accumulated on a basis factorization
-    /// before the next pivot forces a refactorization. Bounds both solve
-    /// cost per `ftran`/`btran` and the drift an eta chain can build up.
-    pub eta_cap: usize,
-    /// Warm-start staleness gate: bail to a cold solve when more than
-    /// this fraction of basic variables violate the new bounds (with a
-    /// floor of one tolerated violation on tiny bases).
-    pub warm_stale_frac: f64,
-}
+/// Pivot limit across both phases of one solve.
+const MAX_ITERATIONS: usize = 50_000;
 
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 50_000,
-            feas_tol: 1e-7,
-            opt_tol: 1e-9,
-            pivot_tol: 1e-10,
-            stall_limit: 60,
-            refresh_every: 128,
-            eta_cap: 64,
-            warm_stale_frac: 0.25,
-        }
-    }
-}
+/// Primal feasibility tolerance.
+const FEAS_TOL: f64 = 1e-7;
+
+/// Reduced-cost (dual feasibility) tolerance.
+const OPT_TOL: f64 = 1e-9;
+
+/// Pivot-element magnitude below which a column is rejected.
+const PIVOT_TOL: f64 = 1e-10;
+
+/// Consecutive degenerate pivots before a phase switches to Bland's rule.
+const STALL_LIMIT: usize = 60;
+
+/// Recompute basic values from scratch every this many pivots; a refresh
+/// whose drift exceeds [`FEAS_TOL`] also refactorizes.
+const REFRESH_EVERY: usize = 128;
+
+/// Product-form eta updates accumulated on a basis factorization before
+/// the next pivot forces a refactorization. Bounds both solve cost per
+/// `ftran`/`btran` and the drift an eta chain can build up.
+const ETA_CAP: usize = 64;
+
+/// Warm-start staleness gate: bail to a cold solve when more than this
+/// fraction of basic variables violate the new bounds (with a floor of
+/// one tolerated violation on tiny bases).
+const WARM_STALE_FRAC: f64 = 0.25;
 
 /// A bounded-variable primal simplex solver.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug, Clone, Default)]
 pub struct Simplex {
-    opts: SimplexOptions,
     deadline: Deadline,
 }
 
@@ -203,7 +191,8 @@ pub struct WarmSolve {
     /// snapshot-able (artificial-free) basis.
     pub warm: Option<WarmStart>,
     /// Whether the solve actually started from the supplied basis (`false`
-    /// when the warm path fell back to a cold two-phase run).
+    /// when none was supplied or the warm path fell back to a cold
+    /// two-phase run).
     pub warm_used: bool,
     /// The numeric failure that forced an *error-driven* cold fallback,
     /// when one occurred. Routine fallbacks leave this `None`: they are
@@ -214,18 +203,22 @@ pub struct WarmSolve {
     pub fallback: Option<SolveError>,
 }
 
+/// A cold solve's result, with no snapshot taken.
+impl From<LpSolution> for WarmSolve {
+    fn from(solution: LpSolution) -> Self {
+        Self {
+            solution,
+            warm: None,
+            warm_used: false,
+            fallback: None,
+        }
+    }
+}
+
 impl Simplex {
-    /// Creates a solver with default options.
+    /// Creates a solver with no deadline.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a solver with explicit options.
-    pub fn with_options(opts: SimplexOptions) -> Self {
-        Self {
-            opts,
-            deadline: Deadline::none(),
-        }
     }
 
     /// Attaches a cooperative [`Deadline`], polled between pivot batches.
@@ -269,10 +262,8 @@ impl Simplex {
     }
 
     /// Solves the model with the structural variable bounds replaced by
-    /// `bounds` (one `(lo, hi)` pair per variable, in [`VarId`] order).
-    ///
-    /// This is the entry point used by branch-and-bound: the constraint
-    /// matrix is immutable across the tree, only bounds change.
+    /// `bounds` (one `(lo, hi)` pair per variable, in [`VarId`] order),
+    /// cold and without taking a basis snapshot.
     ///
     /// # Errors
     ///
@@ -289,48 +280,17 @@ impl Simplex {
         bounds: &[(f64, f64)],
     ) -> Result<LpSolution, LpError> {
         Self::validate_bounds(model, bounds)?;
-        let _obs_phase = certnn_obs::phase(certnn_obs::Phase::LpCold);
-        let start = timer();
-        let mut t = Tableau::build(model, bounds, self.opts, self.deadline.clone());
-        let result = t.run(model).map_err(LpError::Solve);
-        record_cold_solve(start, t.iterations, t.factor.chain_len(), result.as_ref().ok());
-        result
+        Ok(self.solve_cold(model, bounds, false)?.solution)
     }
 
-    /// Cold-solves like [`Simplex::solve_with_bounds`] but additionally
-    /// returns a [`WarmStart`] snapshot of the optimal basis (when one
-    /// exists) for warm-starting descendant solves.
+    /// Solves the model under `bounds` and returns a [`WarmStart`]
+    /// snapshot of the optimal basis (when one exists) for warm-starting
+    /// descendant solves. This is the entry point of branch-and-bound: the
+    /// constraint matrix is immutable across the tree, only bounds change.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Simplex::solve_with_bounds`].
-    pub fn solve_snapshot(
-        &self,
-        model: &LpModel,
-        bounds: &[(f64, f64)],
-    ) -> Result<WarmSolve, LpError> {
-        Self::validate_bounds(model, bounds)?;
-        let _obs_phase = certnn_obs::phase(certnn_obs::Phase::LpCold);
-        let start = timer();
-        let mut t = Tableau::build(model, bounds, self.opts, self.deadline.clone());
-        let result = t.run(model).map_err(LpError::Solve);
-        record_cold_solve(start, t.iterations, t.factor.chain_len(), result.as_ref().ok());
-        let solution = result?;
-        let warm = (solution.status == LpStatus::Optimal)
-            .then(|| t.snapshot())
-            .flatten();
-        Ok(WarmSolve {
-            solution,
-            warm,
-            warm_used: false,
-            fallback: None,
-        })
-    }
-
-    /// Re-solves the model under new `bounds` starting from a basis snapshot
-    /// taken on a related solve (same model, different bounds).
-    ///
-    /// The snapshot basis is refactorized and, because only bounds changed,
+    /// With `warm == None` the solve is a cold two-phase run. With a
+    /// snapshot taken on a related solve (same model, different bounds)
+    /// the snapshot basis is thawed and, because only bounds changed,
     /// remains dual feasible; primal feasibility is restored by a
     /// bound-flipping dual simplex phase followed by a primal clean-up. On
     /// any mismatch — wrong dimensions, numerically singular basis, lost
@@ -344,27 +304,28 @@ impl Simplex {
         &self,
         model: &LpModel,
         bounds: &[(f64, f64)],
-        warm: &WarmStart,
+        warm: Option<&WarmStart>,
     ) -> Result<WarmSolve, LpError> {
         Self::validate_bounds(model, bounds)?;
+        let Some(warm) = warm else {
+            return self.solve_cold(model, bounds, true);
+        };
         // First rung of the retry ladder: any numeric failure on the warm
         // path (corrupt snapshot, singular basis, NaN poisoning) falls
         // back to a cold two-phase run and is recorded in `fallback`;
-        // routine stale-basis bails fall back silently as before.
+        // routine stale-basis bails fall back silently.
         let mut fallback: Option<SolveError> = None;
         {
             let _obs_phase = certnn_obs::phase(certnn_obs::Phase::LpWarm);
             let start = timer();
-            match Tableau::build_warm(model, bounds, self.opts, self.deadline.clone(), warm) {
-                Ok(Some(mut t)) => match t.run_warm(model) {
+            match Tableau::build_warm(model, bounds, self.deadline.clone(), warm) {
+                Ok(Some(mut t)) => match t.run_warm() {
                     Ok(Some(solution)) => {
-                        record_warm_solve(start, t.iterations, t.factor.chain_len(), &solution);
-                        let warm_out = (solution.status == LpStatus::Optimal)
-                            .then(|| t.snapshot())
-                            .flatten();
+                        record_solve(start, true, &t, Some(solution.status));
+                        let optimal = solution.status == LpStatus::Optimal;
                         return Ok(WarmSolve {
                             solution,
-                            warm: warm_out,
+                            warm: if optimal { t.snapshot() } else { None },
                             warm_used: true,
                             fallback: None,
                         });
@@ -377,45 +338,48 @@ impl Simplex {
             }
         }
         lp_metrics().cold_fallbacks.inc();
-        let mut ws = self.solve_snapshot(model, bounds)?;
+        let mut ws = self.solve_cold(model, bounds, true)?;
         ws.fallback = fallback;
+        Ok(ws)
+    }
+
+    /// The cold two-phase run behind every entry point, metered as one
+    /// cold solve; `snapshot` asks for the optimal basis as well.
+    fn solve_cold(
+        &self,
+        model: &LpModel,
+        bounds: &[(f64, f64)],
+        snapshot: bool,
+    ) -> Result<WarmSolve, LpError> {
+        let _obs_phase = certnn_obs::phase(certnn_obs::Phase::LpCold);
+        let start = timer();
+        let mut t = Tableau::build(model, bounds, self.deadline.clone());
+        let result = t.run().map_err(LpError::Solve);
+        record_solve(start, false, &t, result.as_ref().ok().map(|s| s.status));
+        let mut ws = WarmSolve::from(result?);
+        if snapshot && ws.solution.status == LpStatus::Optimal {
+            ws.warm = t.snapshot();
+        }
         Ok(ws)
     }
 }
 
-/// Record metrics for one cold (two-phase) solve. No-op unless the
+/// Records the metrics of one solve that ended on the warm path or ran
+/// cold, given its final status when it has one. No-op unless the
 /// observability layer was live when the solve started.
-fn record_cold_solve(
-    start: Option<std::time::Instant>,
-    pivots: usize,
-    chain_len: usize,
-    sol: Option<&LpSolution>,
-) {
+fn record_solve(start: Option<Instant>, warm: bool, t: &Tableau, status: Option<LpStatus>) {
     let Some(ns) = elapsed_ns(start) else { return };
     let m = lp_metrics();
-    m.cold_solves.inc();
-    m.pivots.add(pivots as u64);
-    m.cold_solve_nanos.record(ns);
-    m.eta_chain_len.record(chain_len as u64);
-    if sol.map(|s| s.status) == Some(LpStatus::Deadline) {
-        m.deadline_expired.inc();
-    }
-}
-
-/// Record metrics for one successful warm-path solve.
-fn record_warm_solve(
-    start: Option<std::time::Instant>,
-    pivots: usize,
-    chain_len: usize,
-    sol: &LpSolution,
-) {
-    let Some(ns) = elapsed_ns(start) else { return };
-    let m = lp_metrics();
-    m.warm_solves.inc();
-    m.pivots.add(pivots as u64);
-    m.warm_solve_nanos.record(ns);
-    m.eta_chain_len.record(chain_len as u64);
-    if sol.status == LpStatus::Deadline {
+    let (solves, nanos) = if warm {
+        (&m.warm_solves, &m.warm_solve_nanos)
+    } else {
+        (&m.cold_solves, &m.cold_solve_nanos)
+    };
+    solves.inc();
+    m.pivots.add(t.iterations as u64);
+    nanos.record(ns);
+    m.eta_chain_len.record(t.factor.chain_len() as u64);
+    if status == Some(LpStatus::Deadline) {
         m.deadline_expired.inc();
     }
 }
@@ -457,13 +421,70 @@ enum DualOutcome {
     Error(SolveError),
 }
 
+/// The computational form of a model under one bounds vector, where both
+/// tableau builds start: the structural columns in CSC form followed by
+/// one slack column per row, every column's bounds (a slack's by its row
+/// kind), the right-hand sides and the cost in minimisation form.
+struct StandardForm {
+    n_struct: usize,
+    /// `+1` for a minimisation, `-1` for a maximisation: the factor that
+    /// turns the model's objective into `cost` and back.
+    sense_sign: f64,
+    cols: ColMatrix,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    rhs: Vec<f64>,
+    cost: Vec<f64>,
+}
+
+impl StandardForm {
+    fn new(model: &LpModel, bounds: &[(f64, f64)]) -> Self {
+        let n_struct = model.num_vars();
+        let mut cols =
+            ColMatrix::from_row_major(n_struct, model.rows.iter().map(|r| r.coeffs.as_slice()));
+        let mut lo: Vec<f64> = bounds.iter().map(|b| b.0).collect();
+        let mut hi: Vec<f64> = bounds.iter().map(|b| b.1).collect();
+        // Slacks: row i gets variable n_struct + i with kind-dependent bounds.
+        for (i, row) in model.rows.iter().enumerate() {
+            cols.push_col([(i, 1.0)]);
+            let (slo, shi) = match row.kind {
+                RowKind::Le => (0.0, f64::INFINITY),
+                RowKind::Ge => (f64::NEG_INFINITY, 0.0),
+                RowKind::Eq => (0.0, 0.0),
+            };
+            lo.push(slo);
+            hi.push(shi);
+        }
+        let sense_sign = match model.sense {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        };
+        let mut cost = vec![0.0; cols.num_cols()];
+        for j in 0..n_struct {
+            cost[j] = sense_sign * model.objective[j];
+        }
+        Self {
+            n_struct,
+            sense_sign,
+            cols,
+            lo,
+            hi,
+            rhs: model.rows.iter().map(|r| r.rhs).collect(),
+            cost,
+        }
+    }
+}
+
 /// Factorized-basis revised simplex working state.
 struct Tableau {
-    opts: SimplexOptions,
+    /// Consecutive degenerate pivots before a phase switches to Bland's
+    /// rule: [`STALL_LIMIT`], lowered only by tests.
+    stall_limit: usize,
     m: usize,
     /// Total variables: structural + slacks + artificials.
     n_total: usize,
     n_struct: usize,
+    sense_sign: f64,
     /// Constraint columns in CSC form (structurals, slacks, artificials).
     cols: ColMatrix,
     lo: Vec<f64>,
@@ -502,117 +523,34 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn build(
-        model: &LpModel,
-        bounds: &[(f64, f64)],
-        opts: SimplexOptions,
+    /// A tableau over `form` starting from `basis`, factorized as
+    /// `factor`, with every column's status and value given. Columns past
+    /// the form's slacks are artificials.
+    fn new(
+        form: StandardForm,
+        basis: Vec<usize>,
+        status: Vec<Status>,
+        x: Vec<f64>,
+        factor: BasisFactor,
         deadline: Deadline,
     ) -> Self {
-        let m = model.num_rows();
-        let n_struct = model.num_vars();
-        let mut cols =
-            ColMatrix::from_row_major(n_struct, model.rows.iter().map(|r| r.coeffs.as_slice()));
-        let mut lo: Vec<f64> = bounds.iter().map(|b| b.0).collect();
-        let mut hi: Vec<f64> = bounds.iter().map(|b| b.1).collect();
-        let rhs: Vec<f64> = model.rows.iter().map(|r| r.rhs).collect();
-
-        // Slacks: row i gets variable n_struct + i with kind-dependent bounds.
-        for (i, row) in model.rows.iter().enumerate() {
-            cols.push_col([(i, 1.0)]);
-            let (slo, shi) = match row.kind {
-                RowKind::Le => (0.0, f64::INFINITY),
-                RowKind::Ge => (f64::NEG_INFINITY, 0.0),
-                RowKind::Eq => (0.0, 0.0),
-            };
-            lo.push(slo);
-            hi.push(shi);
-            debug_assert_eq!(cols.num_cols() - 1, n_struct + i);
-        }
-
-        // Initial nonbasic point: every structural variable at its finite
-        // bound nearest zero, free variables at zero.
-        let mut x = vec![0.0; n_struct + m];
-        let mut status = vec![Status::AtLower; n_struct + m];
-        for j in 0..n_struct {
-            let (l, h) = (lo[j], hi[j]);
-            let (v, s) = initial_point(l, h);
-            x[j] = v;
-            status[j] = s;
-        }
-
-        // Residuals decide whether each row's slack can start basic.
-        let mut resid = rhs.clone();
-        for j in 0..n_struct {
-            if x[j] != 0.0 {
-                for (i, c) in cols.col(j) {
-                    resid[i] -= c * x[j];
-                }
-            }
-        }
-
-        let mut basis = Vec::with_capacity(m);
-        let first_artificial = n_struct + m;
-        let mut n_total = n_struct + m;
-        for i in 0..m {
-            let sj = n_struct + i;
-            let r = resid[i];
-            if r >= lo[sj] && r <= hi[sj] {
-                x[sj] = r;
-                status[sj] = Status::Basic;
-                basis.push(sj);
-            } else {
-                // Clamp the slack to its nearest bound and cover the rest
-                // with a fresh artificial of matching sign.
-                let clamped = r.clamp(lo[sj], hi[sj]);
-                // A slack with at least one finite bound clamps there; the
-                // (impossible) doubly-infinite case would already be basic.
-                x[sj] = clamped;
-                status[sj] = if clamped == lo[sj] {
-                    Status::AtLower
-                } else {
-                    Status::AtUpper
-                };
-                let leftover = r - clamped;
-                let sigma = if leftover >= 0.0 { 1.0 } else { -1.0 };
-                cols.push_col([(i, sigma)]);
-                lo.push(0.0);
-                hi.push(f64::INFINITY);
-                let aj = n_total;
-                n_total += 1;
-                x.push(leftover.abs());
-                status.push(Status::Basic);
-                basis.push(aj);
-            }
-        }
-
-        let mut cost = vec![0.0; n_total];
-        let sense_sign = match model.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        for j in 0..n_struct {
-            cost[j] = sense_sign * model.objective[j];
-        }
-        let mut cost1 = vec![0.0; n_total];
-        for c in cost1.iter_mut().take(n_total).skip(first_artificial) {
-            *c = 1.0;
-        }
-
-        // The initial basis consists of slack/artificial unit columns with
-        // entries ±1 (a signed diagonal), so it always factorizes.
-        let factor =
-            BasisFactor::factorize(&cols, &basis).expect("±1 diagonal start basis is nonsingular");
-
+        let m = form.rhs.len();
+        let n_total = form.cols.num_cols();
+        let first_artificial = form.n_struct + m;
+        let cost1 = (0..n_total)
+            .map(|j| if j < first_artificial { 0.0 } else { 1.0 })
+            .collect();
         Self {
-            opts,
+            stall_limit: STALL_LIMIT,
             m,
             n_total,
-            n_struct,
-            cols,
-            lo,
-            hi,
-            rhs,
-            cost,
+            n_struct: form.n_struct,
+            sense_sign: form.sense_sign,
+            cols: form.cols,
+            lo: form.lo,
+            hi: form.hi,
+            rhs: form.rhs,
+            cost: form.cost,
             cost1,
             status,
             x,
@@ -631,6 +569,68 @@ impl Tableau {
         }
     }
 
+    /// The cold tableau: every structural at its finite bound nearest
+    /// zero (free ones at zero), each row's slack basic where the residual
+    /// fits its bounds and clamped otherwise, with an artificial covering
+    /// the rest.
+    fn build(model: &LpModel, bounds: &[(f64, f64)], deadline: Deadline) -> Self {
+        let mut form = StandardForm::new(model, bounds);
+        let (m, n_struct) = (model.num_rows(), form.n_struct);
+        let mut x = vec![0.0; n_struct + m];
+        let mut status = vec![Status::AtLower; n_struct + m];
+        for j in 0..n_struct {
+            (x[j], status[j]) = initial_point(form.lo[j], form.hi[j]);
+        }
+
+        // Residuals decide whether each row's slack can start basic.
+        let mut resid = form.rhs.clone();
+        for j in 0..n_struct {
+            if x[j] != 0.0 {
+                for (i, c) in form.cols.col(j) {
+                    resid[i] -= c * x[j];
+                }
+            }
+        }
+
+        let mut basis = Vec::with_capacity(m);
+        for i in 0..m {
+            let sj = n_struct + i;
+            let (r, slo, shi) = (resid[i], form.lo[sj], form.hi[sj]);
+            if r >= slo && r <= shi {
+                x[sj] = r;
+                status[sj] = Status::Basic;
+                basis.push(sj);
+            } else {
+                // Clamp the slack to its nearest bound and cover the rest
+                // with a fresh artificial of matching sign. A slack with
+                // at least one finite bound clamps there; the (impossible)
+                // doubly-infinite case would already be basic.
+                let clamped = r.clamp(slo, shi);
+                x[sj] = clamped;
+                status[sj] = if clamped == slo {
+                    Status::AtLower
+                } else {
+                    Status::AtUpper
+                };
+                let leftover = r - clamped;
+                let sigma = if leftover >= 0.0 { 1.0 } else { -1.0 };
+                basis.push(form.cols.num_cols());
+                form.cols.push_col([(i, sigma)]);
+                form.lo.push(0.0);
+                form.hi.push(f64::INFINITY);
+                form.cost.push(0.0);
+                x.push(leftover.abs());
+                status.push(Status::Basic);
+            }
+        }
+
+        // The initial basis consists of slack/artificial unit columns with
+        // entries ±1 (a signed diagonal), so it always factorizes.
+        let factor = BasisFactor::factorize(&form.cols, &basis)
+            .expect("±1 diagonal start basis is nonsingular");
+        Self::new(form, basis, status, x, factor, deadline)
+    }
+
     /// Rebuilds a tableau around a basis snapshot taken on a related solve.
     ///
     /// Returns `Ok(None)` when the snapshot does not fit the model
@@ -643,35 +643,19 @@ impl Tableau {
     fn build_warm(
         model: &LpModel,
         bounds: &[(f64, f64)],
-        opts: SimplexOptions,
         deadline: Deadline,
         warm: &WarmStart,
     ) -> Result<Option<Self>, SolveError> {
         let m = model.num_rows();
-        let n_struct = model.num_vars();
-        let n_total = n_struct + m;
+        let n_total = model.num_vars() + m;
         if warm.m != m
-            || warm.n_struct != n_struct
+            || warm.n_struct != model.num_vars()
             || warm.basis.len() != m
             || warm.status.len() != n_total
         {
             return Ok(None);
         }
-        let mut cols =
-            ColMatrix::from_row_major(n_struct, model.rows.iter().map(|r| r.coeffs.as_slice()));
-        let mut lo: Vec<f64> = bounds.iter().map(|b| b.0).collect();
-        let mut hi: Vec<f64> = bounds.iter().map(|b| b.1).collect();
-        let rhs: Vec<f64> = model.rows.iter().map(|r| r.rhs).collect();
-        for (i, row) in model.rows.iter().enumerate() {
-            cols.push_col([(i, 1.0)]);
-            let (slo, shi) = match row.kind {
-                RowKind::Le => (0.0, f64::INFINITY),
-                RowKind::Ge => (f64::NEG_INFINITY, 0.0),
-                RowKind::Eq => (0.0, 0.0),
-            };
-            lo.push(slo);
-            hi.push(shi);
-        }
+        let form = StandardForm::new(model, bounds);
 
         let mut in_basis = vec![false; n_total];
         for &bj in &warm.basis {
@@ -689,22 +673,12 @@ impl Tableau {
             if in_basis[j] {
                 continue; // value assigned by refresh_basics below
             }
-            let (v, s) = match warm.status[j] {
-                Status::AtLower if lo[j].is_finite() => (lo[j], Status::AtLower),
-                Status::AtUpper if hi[j].is_finite() => (hi[j], Status::AtUpper),
-                _ => initial_point(lo[j], hi[j]),
+            let (lo, hi) = (form.lo[j], form.hi[j]);
+            (x[j], status[j]) = match warm.status[j] {
+                Status::AtLower if lo.is_finite() => (lo, Status::AtLower),
+                Status::AtUpper if hi.is_finite() => (hi, Status::AtUpper),
+                _ => initial_point(lo, hi),
             };
-            x[j] = v;
-            status[j] = s;
-        }
-
-        let mut cost = vec![0.0; n_total];
-        let sense_sign = match model.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        for j in 0..n_struct {
-            cost[j] = sense_sign * model.objective[j];
         }
 
         // Reuse the parent's frozen factorization when its signature
@@ -715,12 +689,12 @@ impl Tableau {
         if singular_fault_fired() {
             return Err(SolveError::SingularBasis);
         }
-        let sig = basis_signature(&cols, &warm.basis);
+        let sig = basis_signature(&form.cols, &warm.basis);
         let thawed = match (&warm.factor, &warm.history) {
             (Some(fz), _) if fz.sig() == sig && fz.num_rows() == m => Some(BasisFactor::thaw(fz)),
             (None, Some(history)) => {
                 lp_metrics().refactorizations.inc();
-                BasisFactor::replay(&cols, &warm.basis, history)
+                BasisFactor::replay(&form.cols, &warm.basis, history)
             }
             _ => None,
         };
@@ -728,36 +702,10 @@ impl Tableau {
             Some(f) => f,
             None => {
                 lp_metrics().refactorizations.inc();
-                BasisFactor::factorize(&cols, &warm.basis).ok_or(SolveError::SingularBasis)?
+                BasisFactor::factorize(&form.cols, &warm.basis).ok_or(SolveError::SingularBasis)?
             }
         };
-
-        let mut t = Self {
-            opts,
-            m,
-            n_total,
-            n_struct,
-            cols,
-            lo,
-            hi,
-            rhs,
-            cost,
-            cost1: vec![0.0; n_total],
-            status,
-            x,
-            basis: warm.basis.clone(),
-            factor,
-            w: vec![0.0; m],
-            y: vec![0.0; m],
-            rho: Vec::new(),
-            resid: Vec::with_capacity(m),
-            d: Vec::new(),
-            cands: Vec::new(),
-            flips: Vec::new(),
-            iterations: 0,
-            first_artificial: n_total,
-            deadline,
-        };
+        let mut t = Self::new(form, warm.basis.clone(), status, x, factor, deadline);
         t.refresh_basics();
         Ok(Some(t))
     }
@@ -881,7 +829,7 @@ impl Tableau {
     /// wrong optimum. Fixed variables (including frozen artificials) are
     /// exempt from the dual conditions, as in pricing.
     fn certify_optimal(&mut self) -> Result<(), SolveError> {
-        if self.primal_infeasibility() > self.opts.feas_tol * 100.0 {
+        if self.primal_infeasibility() > FEAS_TOL * 100.0 {
             return Err(SolveError::NumericalPoison);
         }
         self.price_duals(false);
@@ -902,7 +850,7 @@ impl Tableau {
             };
             worst = worst.max(v);
         }
-        if worst > self.opts.opt_tol * 1000.0 {
+        if worst > OPT_TOL * 1000.0 {
             return Err(SolveError::NumericalPoison);
         }
         Ok(())
@@ -937,7 +885,7 @@ impl Tableau {
         Ok(())
     }
 
-    /// Periodic iterate hygiene, run every `refresh_every` pivots and at
+    /// Periodic iterate hygiene, run every [`REFRESH_EVERY`] pivots and at
     /// the end of each run: recompute the basics through the current
     /// factorization and, when the correction exceeds the feasibility
     /// tolerance (eta-chain drift), refactorize and recompute again.
@@ -946,7 +894,7 @@ impl Tableau {
             return Err(SolveError::SingularBasis);
         }
         let drift = self.refresh_basics();
-        if drift > self.opts.feas_tol {
+        if drift > FEAS_TOL {
             self.refactorize()?;
             self.refresh_basics();
         }
@@ -959,9 +907,7 @@ impl Tableau {
     /// already written the entering variable into `self.basis[r_leave]`
     /// and left the entering column's FTRAN image in the `w` scratch.
     fn apply_pivot(&mut self, r_leave: usize) -> Result<(), SolveError> {
-        if !BasisFactor::pivot_stable(r_leave, &self.w)
-            || self.factor.chain_len() >= self.opts.eta_cap
-        {
+        if !BasisFactor::pivot_stable(r_leave, &self.w) || self.factor.chain_len() >= ETA_CAP {
             self.refactorize()
         } else {
             self.factor.push_eta(r_leave, self.basis[r_leave], &self.w);
@@ -1007,7 +953,7 @@ impl Tableau {
     fn phase(&mut self, use_phase1: bool) -> Result<Option<LpStatus>, SolveError> {
         let mut stall = 0usize;
         loop {
-            if self.iterations >= self.opts.max_iterations {
+            if self.iterations >= MAX_ITERATIONS {
                 return Ok(Some(LpStatus::IterationLimit));
             }
             if self.iterations.is_multiple_of(DEADLINE_CHECK_EVERY) {
@@ -1019,12 +965,12 @@ impl Tableau {
             }
             #[cfg(feature = "fault-inject")]
             self.inject_faults();
-            if self.iterations % self.opts.refresh_every == self.opts.refresh_every - 1 {
+            if self.iterations % REFRESH_EVERY == REFRESH_EVERY - 1 {
                 self.periodic_refresh()?;
             }
             self.price_duals(use_phase1);
 
-            let bland = stall >= self.opts.stall_limit;
+            let bland = stall >= self.stall_limit;
             // Entering variable selection.
             let mut entering: Option<(usize, f64, f64)> = None; // (var, |d|, direction)
             for j in 0..self.n_total {
@@ -1038,10 +984,10 @@ impl Tableau {
                 }
                 let d = self.reduced_cost(j, use_phase1);
                 let dir = match self.status[j] {
-                    Status::AtLower if d < -self.opts.opt_tol => 1.0,
-                    Status::AtUpper if d > self.opts.opt_tol => -1.0,
-                    Status::FreeZero if d < -self.opts.opt_tol => 1.0,
-                    Status::FreeZero if d > self.opts.opt_tol => -1.0,
+                    Status::AtLower if d < -OPT_TOL => 1.0,
+                    Status::AtUpper if d > OPT_TOL => -1.0,
+                    Status::FreeZero if d < -OPT_TOL => 1.0,
+                    Status::FreeZero if d > OPT_TOL => -1.0,
                     _ => continue,
                 };
                 if bland {
@@ -1073,7 +1019,7 @@ impl Tableau {
             let mut t_best = t_limit;
             for r in 0..self.m {
                 let wr = self.w[r];
-                if wr.abs() < self.opts.pivot_tol {
+                if wr.abs() < PIVOT_TOL {
                     continue;
                 }
                 let bi = self.basis[r];
@@ -1116,7 +1062,7 @@ impl Tableau {
                 Some(_) => t_best.max(0.0),
                 None => t_limit,
             };
-            if t <= self.opts.feas_tol {
+            if t <= FEAS_TOL {
                 stall += 1;
             } else {
                 stall = 0;
@@ -1204,7 +1150,7 @@ impl Tableau {
         let mut flip_w = vec![0.0; self.m];
         let mut skipped = vec![false; self.m];
         loop {
-            if self.iterations >= self.opts.max_iterations {
+            if self.iterations >= MAX_ITERATIONS {
                 return DualOutcome::Stalled;
             }
             if self.iterations.is_multiple_of(DEADLINE_CHECK_EVERY) {
@@ -1220,7 +1166,7 @@ impl Tableau {
             }
             #[cfg(feature = "fault-inject")]
             self.inject_faults();
-            if self.iterations % self.opts.refresh_every == self.opts.refresh_every - 1 {
+            if self.iterations % REFRESH_EVERY == REFRESH_EVERY - 1 {
                 if let Err(e) = self.periodic_refresh() {
                     return DualOutcome::Error(e);
                 }
@@ -1230,7 +1176,7 @@ impl Tableau {
             // Leaving row: the most violated basic variable not passed
             // over, or under Bland's rule the violated one with the lowest
             // column index.
-            let bland = stall >= self.opts.stall_limit;
+            let bland = stall >= self.stall_limit;
             let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, above upper)
             let mut passed_over = false;
             for r in 0..self.m {
@@ -1238,7 +1184,7 @@ impl Tableau {
                 let above = self.x[b] - self.hi[b];
                 let below = self.lo[b] - self.x[b];
                 let (v, is_above) = if above >= below { (above, true) } else { (below, false) };
-                if v > self.opts.feas_tol {
+                if v > FEAS_TOL {
                     if skipped[r] {
                         passed_over = true;
                     } else if leave.is_none_or(|(best_r, best, _)| {
@@ -1294,7 +1240,7 @@ impl Tableau {
                     continue;
                 }
                 alpha_row.push((j, alpha));
-                if alpha.abs() < self.opts.pivot_tol {
+                if alpha.abs() < PIVOT_TOL {
                     continue;
                 }
                 let admissible = match self.status[j] {
@@ -1368,7 +1314,7 @@ impl Tableau {
                     } else {
                         f64::INFINITY
                     };
-                    if capacity < remaining - self.opts.feas_tol {
+                    if capacity < remaining - FEAS_TOL {
                         self.flips.push(j);
                         remaining -= capacity;
                     } else {
@@ -1391,7 +1337,7 @@ impl Tableau {
             // happens at all, so it comes before any flip is applied.
             self.compute_ftran(q);
             let wr = self.w[r_leave];
-            if wr.abs() < self.opts.pivot_tol {
+            if wr.abs() < PIVOT_TOL {
                 // The FTRAN image disagrees with the row scan; refactorize
                 // and retry, giving up after a few attempts.
                 bad_pivots += 1;
@@ -1478,7 +1424,7 @@ impl Tableau {
             skipped.fill(false);
             // Degenerate dual steps (zero ratio) leave the reduced costs
             // unchanged and can cycle; count them towards Bland's rule.
-            if ratio_q <= self.opts.opt_tol * 10.0 {
+            if ratio_q <= OPT_TOL * 10.0 {
                 stall += 1;
             } else {
                 stall = 0;
@@ -1488,33 +1434,28 @@ impl Tableau {
 
     /// Warm-start driver: restores primal feasibility with the dual
     /// simplex when the snapshot basis is dual feasible, then polishes
-    /// with a primal phase-2 run, both under the caller's full
-    /// `max_iterations`. Returns `Ok(None)` whenever the incremental path
+    /// with a primal phase-2 run, both under the full
+    /// [`MAX_ITERATIONS`]. Returns `Ok(None)` whenever the incremental path
     /// cannot certify a result for routine reasons — snapshot too stale
     /// for the gate, or a dual walk that stalled (iteration cap, deadline,
     /// repeated bad pivots, every violated row passed over as unstable) —
     /// so the caller must cold-solve, and `Err` when a numeric failure
     /// poisoned the warm path, so the cold fallback can be tagged with the
     /// cause.
-    fn run_warm(&mut self, model: &LpModel) -> Result<Option<LpSolution>, SolveError> {
-        let sense_sign = match model.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
+    fn run_warm(&mut self) -> Result<Option<LpSolution>, SolveError> {
         // Stale-basis guard: a snapshot with many violated basics predicts a
         // long dual walk that can end up costlier than a cold solve.
         let violated = (0..self.m)
             .filter(|&r| {
                 let b = self.basis[r];
-                self.x[b] > self.hi[b] + self.opts.feas_tol
-                    || self.x[b] < self.lo[b] - self.opts.feas_tol
+                self.x[b] > self.hi[b] + FEAS_TOL || self.x[b] < self.lo[b] - FEAS_TOL
             })
             .count();
         // Too stale to bother: bail before spending any pivots. The floor
         // tolerates one violated basic on tiny bases (m small), where a
         // single violation is cheap to repair yet would otherwise
         // disqualify the warm path entirely.
-        if violated as f64 > (self.m as f64 * self.opts.warm_stale_frac).max(1.0) {
+        if violated as f64 > (self.m as f64 * WARM_STALE_FRAC).max(1.0) {
             lp_metrics().stale_basis_bails.inc();
             return Ok(None);
         }
@@ -1522,16 +1463,16 @@ impl Tableau {
         // along its pivot rows.
         self.price_reduced_costs();
         let dual_inf = self.dual_infeasibility();
-        if dual_inf <= self.opts.opt_tol * 100.0 {
+        if dual_inf <= OPT_TOL * 100.0 {
             match self.dual_phase() {
                 DualOutcome::Feasible => {}
                 DualOutcome::Infeasible => {
-                    return Ok(Some(self.finish(model, LpStatus::Infeasible, sense_sign)));
+                    return Ok(Some(self.finish(LpStatus::Infeasible)));
                 }
                 DualOutcome::Stalled => return Ok(None),
                 DualOutcome::Error(e) => return Err(e),
             }
-        } else if self.primal_infeasibility() > self.opts.feas_tol * 10.0 {
+        } else if self.primal_infeasibility() > FEAS_TOL * 10.0 {
             // Neither dual nor primal feasible: the snapshot buys nothing,
             // let the cold two-phase run handle it.
             lp_metrics().stale_basis_bails.inc();
@@ -1549,7 +1490,7 @@ impl Tableau {
         if stat == LpStatus::Optimal {
             self.certify_optimal()?;
         }
-        Ok(Some(self.finish(model, stat, sense_sign)))
+        Ok(Some(self.finish(stat)))
     }
 
     fn phase1_needed(&self) -> bool {
@@ -1562,25 +1503,20 @@ impl Tableau {
             .sum()
     }
 
-    fn run(&mut self, model: &LpModel) -> Result<LpSolution, SolveError> {
-        let sense_sign = match model.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-
+    fn run(&mut self) -> Result<LpSolution, SolveError> {
         if self.deadline.expired() {
             // Expired before the first pivot: report promptly so the cold
             // rung of a warm→cold retry does not burn the caller's budget.
-            return Ok(self.finish(model, LpStatus::Deadline, sense_sign));
+            return Ok(self.finish(LpStatus::Deadline));
         }
 
         if self.phase1_needed() {
             if let Some(stat) = self.phase(true)? {
-                return Ok(self.finish(model, stat, sense_sign));
+                return Ok(self.finish(stat));
             }
             self.periodic_refresh()?;
-            if self.phase1_objective() > self.opts.feas_tol * 10.0 {
-                return Ok(self.finish(model, LpStatus::Infeasible, sense_sign));
+            if self.phase1_objective() > FEAS_TOL * 10.0 {
+                return Ok(self.finish(LpStatus::Infeasible));
             }
             // Freeze artificials at zero for phase 2.
             for j in self.first_artificial..self.n_total {
@@ -1602,10 +1538,11 @@ impl Tableau {
         if stat == LpStatus::Optimal {
             self.certify_optimal()?;
         }
-        Ok(self.finish(model, stat, sense_sign))
+        Ok(self.finish(stat))
     }
 
-    fn finish(&mut self, _model: &LpModel, status: LpStatus, sense_sign: f64) -> LpSolution {
+    fn finish(&mut self, status: LpStatus) -> LpSolution {
+        let sense_sign = self.sense_sign;
         let x: Vec<f64> = self.x[..self.n_struct].to_vec();
         let objective = sense_sign
             * self.cost[..self.n_struct]
@@ -1902,7 +1839,7 @@ mod tests {
     fn warm_resolve_matches_cold_after_bound_tightening() {
         let (m, _) = branching_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
-        let root = Simplex::new().solve_snapshot(&m, &base).unwrap();
+        let root = Simplex::new().solve_warm(&m, &base, None).unwrap();
         assert_eq!(root.solution.status, LpStatus::Optimal);
         let warm = root.warm.expect("optimal root has a snapshot");
 
@@ -1912,7 +1849,7 @@ mod tests {
                 let mut child = base.clone();
                 child[j] = (new_lo, new_hi);
                 let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
-                let ws = Simplex::new().solve_warm(&m, &child, &warm).unwrap();
+                let ws = Simplex::new().solve_warm(&m, &child, Some(&warm)).unwrap();
                 assert_eq!(ws.solution.status, cold.status, "var {j}");
                 if cold.status == LpStatus::Optimal {
                     assert!(
@@ -1930,12 +1867,12 @@ mod tests {
     fn warm_resolve_takes_fewer_pivots_than_cold() {
         let (m, _) = branching_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
-        let root = Simplex::new().solve_snapshot(&m, &base).unwrap();
+        let root = Simplex::new().solve_warm(&m, &base, None).unwrap();
         let warm = root.warm.expect("snapshot");
         let mut child = base.clone();
         child[0] = (1.0, child[0].1);
         let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
-        let ws = Simplex::new().solve_warm(&m, &child, &warm).unwrap();
+        let ws = Simplex::new().solve_warm(&m, &child, Some(&warm)).unwrap();
         assert!(ws.warm_used, "warm path should not fall back");
         assert!(
             ws.solution.iterations <= cold.iterations,
@@ -1950,12 +1887,12 @@ mod tests {
         // Root is feasible; forcing all variables high violates the cap row.
         let (m, _) = branching_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
-        let root = Simplex::new().solve_snapshot(&m, &base).unwrap();
+        let root = Simplex::new().solve_warm(&m, &base, None).unwrap();
         let warm = root.warm.expect("snapshot");
         let child: Vec<(f64, f64)> = base.iter().map(|&(_, hi)| (hi.max(2.0), hi.max(2.0))).collect();
         let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
         assert_eq!(cold.status, LpStatus::Infeasible, "sanity: child infeasible");
-        let ws = Simplex::new().solve_warm(&m, &child, &warm).unwrap();
+        let ws = Simplex::new().solve_warm(&m, &child, Some(&warm)).unwrap();
         assert_eq!(ws.solution.status, LpStatus::Infeasible);
     }
 
@@ -1964,7 +1901,7 @@ mod tests {
         let (m, _) = branching_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
         let warm = Simplex::new()
-            .solve_snapshot(&m, &base)
+            .solve_warm(&m, &base, None)
             .unwrap()
             .warm
             .expect("snapshot");
@@ -1974,7 +1911,7 @@ mod tests {
         let mut other = LpModel::new(Sense::Maximize);
         let x = other.add_var("x", 0.0, 4.0);
         other.set_objective(&[(x, 1.0)]);
-        let ws = Simplex::new().solve_warm(&other, &[(0.0, 4.0)], &warm).unwrap();
+        let ws = Simplex::new().solve_warm(&other, &[(0.0, 4.0)], Some(&warm)).unwrap();
         assert!(!ws.warm_used);
         assert_eq!(ws.solution.status, LpStatus::Optimal);
         assert!((ws.solution.objective - 4.0).abs() < 1e-9);
@@ -1988,14 +1925,14 @@ mod tests {
         let mut bounds: Vec<(f64, f64)> =
             (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
         let mut warm = Simplex::new()
-            .solve_snapshot(&m, &bounds)
+            .solve_warm(&m, &bounds, None)
             .unwrap()
             .warm
             .expect("root snapshot");
         for j in 0..m.num_vars() {
             bounds[j] = (bounds[j].0, bounds[j].1.min(1.5));
             let cold = Simplex::new().solve_with_bounds(&m, &bounds).unwrap();
-            let ws = Simplex::new().solve_warm(&m, &bounds, &warm).unwrap();
+            let ws = Simplex::new().solve_warm(&m, &bounds, Some(&warm)).unwrap();
             assert_eq!(ws.solution.status, cold.status, "step {j}");
             if cold.status == LpStatus::Optimal {
                 assert!(
@@ -2016,7 +1953,7 @@ mod tests {
         let (m, _) = branching_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
         let warm = Simplex::new()
-            .solve_snapshot(&m, &base)
+            .solve_warm(&m, &base, None)
             .unwrap()
             .warm
             .expect("snapshot");
@@ -2052,7 +1989,7 @@ mod tests {
             history: None,
         };
         let bounds = [(0.0, 3.0), (0.0, 3.0)];
-        let ws = Simplex::new().solve_warm(&m, &bounds, &warm).unwrap();
+        let ws = Simplex::new().solve_warm(&m, &bounds, Some(&warm)).unwrap();
         assert!(!ws.warm_used, "singular warm basis must fall back");
         assert_eq!(ws.fallback, Some(SolveError::SingularBasis));
         assert_eq!(ws.solution.status, LpStatus::Optimal);
@@ -2068,7 +2005,7 @@ mod tests {
         let (m, _) = branching_model();
         let base: Vec<(f64, f64)> =
             (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
-        let root = Simplex::new().solve_snapshot(&m, &base).unwrap();
+        let root = Simplex::new().solve_warm(&m, &base, None).unwrap();
         let warm = root.warm.expect("snapshot");
         assert!(
             warm.factor.is_some(),
@@ -2077,7 +2014,7 @@ mod tests {
         let mut child = base.clone();
         child[1] = (0.5, child[1].1);
         let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
-        let ws = Simplex::new().solve_warm(&m, &child, &warm).unwrap();
+        let ws = Simplex::new().solve_warm(&m, &child, Some(&warm)).unwrap();
         assert!(ws.warm_used);
         assert!((ws.solution.objective - cold.objective).abs() < 1e-9);
         // Grandchild snapshot chains the factorization again.
@@ -2086,20 +2023,18 @@ mod tests {
 
     #[test]
     fn options_default_eta_cap_and_stale_gate() {
-        let o = SimplexOptions::default();
-        assert!(o.eta_cap >= 8, "eta cap must allow a useful chain");
-        assert!(
-            o.warm_stale_frac > 0.0 && o.warm_stale_frac <= 1.0,
-            "stale fraction is a fraction"
-        );
+        const {
+            assert!(ETA_CAP >= 8, "eta cap must allow a useful chain");
+            assert!(
+                WARM_STALE_FRAC > 0.0 && WARM_STALE_FRAC <= 1.0,
+                "stale fraction is a fraction"
+            );
+        }
     }
 
-    #[test]
-    fn many_flips_in_one_dual_iteration_stay_warm() {
-        // max Σ c_i x_i over x ∈ [0, 1]⁸⁰ with s = Σ x_i. The parent
-        // optimum has every x_i = 1; capping s at 20 makes the child's
-        // dual ratio test flip the 59 cheapest x_i and pivot on the 60th,
-        // all in one iteration.
+    /// max Σ c_i x_i over x ∈ [0, 1]⁸⁰ with s = Σ x_i: the model, the x_i,
+    /// s and the costs c_i.
+    fn flip_model() -> (LpModel, Vec<crate::VarId>, crate::VarId, Vec<f64>) {
         let n = 80;
         let mut m = LpModel::new(Sense::Maximize);
         let xs: Vec<_> = (0..n).map(|i| m.add_var(&format!("x{i}"), 0.0, 1.0)).collect();
@@ -2109,9 +2044,17 @@ mod tests {
         let mut row: Vec<_> = xs.iter().map(|&x| (x, -1.0)).collect();
         row.push((s, 1.0));
         m.add_row("sum", &row, RowKind::Eq, 0.0).unwrap();
+        (m, xs, s, c)
+    }
 
+    #[test]
+    fn many_flips_in_one_dual_iteration_stay_warm() {
+        // The parent optimum of `flip_model` has every x_i = 1; capping s
+        // at 20 makes the child's dual ratio test flip the 59 cheapest x_i
+        // and pivot on the 60th, all in one iteration.
+        let (m, xs, s, c) = flip_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
-        let root = Simplex::new().solve_snapshot(&m, &base).unwrap();
+        let root = Simplex::new().solve_warm(&m, &base, None).unwrap();
         assert_eq!(root.solution.status, LpStatus::Optimal);
         assert!(xs.iter().all(|&x| root.solution.value(x) == 1.0));
         let warm = root.warm.expect("snapshot");
@@ -2119,7 +2062,7 @@ mod tests {
         let mut child = base.clone();
         child[s.0] = (0.0, 20.0);
         let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
-        let ws = Simplex::new().solve_warm(&m, &child, &warm).unwrap();
+        let ws = Simplex::new().solve_warm(&m, &child, Some(&warm)).unwrap();
         assert!(ws.warm_used, "a dual-feasible warm start must finish warm");
         assert_eq!(ws.fallback, None);
         let mut sorted = c.clone();
@@ -2142,37 +2085,29 @@ mod tests {
 
     #[test]
     fn bland_dual_walk_stays_dual_feasible() {
-        // The model of `many_flips_in_one_dual_iteration_stay_warm`, walked
-        // under Bland's rule from the first step: every entering column
-        // must be a minimum-ratio one, so the walk ends dual feasible at
-        // the cold optimum.
-        let opts = SimplexOptions {
-            stall_limit: 0,
-            ..SimplexOptions::default()
-        };
-        let n = 80;
-        let mut m = LpModel::new(Sense::Maximize);
-        let xs: Vec<_> = (0..n).map(|i| m.add_var(&format!("x{i}"), 0.0, 1.0)).collect();
-        let s = m.add_var("s", 0.0, f64::INFINITY);
-        let c: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 37) % n) as f64 / n as f64).collect();
-        m.set_objective(&xs.iter().zip(&c).map(|(&x, &ci)| (x, ci)).collect::<Vec<_>>());
-        let mut row: Vec<_> = xs.iter().map(|&x| (x, -1.0)).collect();
-        row.push((s, 1.0));
-        m.add_row("sum", &row, RowKind::Eq, 0.0).unwrap();
+        // `flip_model` solved under Bland's rule from the first step (a
+        // stall limit of zero): every entering column must be a
+        // minimum-ratio one, so the dual walk ends dual feasible and the
+        // warm solve ends at the cold optimum.
+        let (m, _, s, _) = flip_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
-        let warm = Simplex::with_options(opts)
-            .solve_snapshot(&m, &base)
-            .unwrap()
-            .warm
-            .expect("snapshot");
+        let mut root = Tableau::build(&m, &base, Deadline::none());
+        root.stall_limit = 0;
+        assert_eq!(root.run().unwrap().status, LpStatus::Optimal);
+        let warm = root.snapshot().expect("snapshot");
         let mut child = base.clone();
         child[s.0] = (0.0, 20.0);
+        let bland_child = || {
+            let mut t = Tableau::build_warm(&m, &child, Deadline::none(), &warm)
+                .unwrap()
+                .expect("snapshot fits");
+            t.stall_limit = 0;
+            t
+        };
 
-        let mut t = Tableau::build_warm(&m, &child, opts, Deadline::none(), &warm)
-            .unwrap()
-            .expect("snapshot fits");
+        let mut t = bland_child();
         t.price_reduced_costs();
-        let tol = opts.opt_tol * 100.0;
+        let tol = OPT_TOL * 100.0;
         assert!(t.dual_infeasibility() <= tol, "parent basis is dual feasible");
         assert!(matches!(t.dual_phase(), DualOutcome::Feasible));
         t.price_reduced_costs();
@@ -2183,13 +2118,15 @@ mod tests {
         );
 
         let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
-        let ws = Simplex::with_options(opts).solve_warm(&m, &child, &warm).unwrap();
-        assert!(ws.warm_used);
-        assert_eq!(ws.solution.status, LpStatus::Optimal);
+        let sol = bland_child()
+            .run_warm()
+            .unwrap()
+            .expect("the walk finishes warm");
+        assert_eq!(sol.status, LpStatus::Optimal);
         assert!(
-            (ws.solution.objective - cold.objective).abs() < 1e-9,
+            (sol.objective - cold.objective).abs() < 1e-9,
             "warm {} cold {}",
-            ws.solution.objective,
+            sol.objective,
             cold.objective
         );
     }
@@ -2201,7 +2138,7 @@ mod tests {
         let (m, _) = branching_model();
         let base: Vec<(f64, f64)> = (0..m.num_vars()).map(|i| m.bounds(crate::VarId(i))).collect();
         let warm = Simplex::new()
-            .solve_snapshot(&m, &base)
+            .solve_warm(&m, &base, None)
             .unwrap()
             .warm
             .expect("snapshot");
@@ -2209,10 +2146,163 @@ mod tests {
         child[2] = (0.0, 0.0);
         child[5] = (1.0, 1.0);
         let cold = Simplex::new().solve_with_bounds(&m, &child).unwrap();
-        let ws = Simplex::new().solve_warm(&m, &child, &warm).unwrap();
+        let ws = Simplex::new().solve_warm(&m, &child, Some(&warm)).unwrap();
         assert_eq!(ws.solution.status, cold.status);
         if cold.status == LpStatus::Optimal {
             assert!((ws.solution.objective - cold.objective).abs() < 1e-9);
         }
+    }
+
+    /// A seeded random LP: 3–10 variables, mostly boxed, some one-sided
+    /// and a few free, and 2–9 rows of every kind, in either sense.
+    fn random_lp(seed: u64) -> LpModel {
+        let mut state = seed ^ 0x2545_f491_4f6c_dd1d;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let sense = if next() < 0.5 {
+            Sense::Maximize
+        } else {
+            Sense::Minimize
+        };
+        let mut m = LpModel::new(sense);
+        let n = 3 + (next() * 8.0) as usize;
+        let mut vars = Vec::with_capacity(n);
+        for i in 0..n {
+            let lo = (next() * 5.0).floor() - 2.0;
+            let (lo, hi) = match (next() * 10.0) as u32 {
+                0 => (f64::NEG_INFINITY, f64::INFINITY),
+                1 | 2 => (lo, f64::INFINITY),
+                3 => (f64::NEG_INFINITY, lo),
+                _ => (lo, lo + 1.0 + (next() * 4.0).floor()),
+            };
+            vars.push(m.add_var(&format!("x{i}"), lo, hi));
+        }
+        let mut objective = Vec::with_capacity(n);
+        for &v in &vars {
+            objective.push((v, (next() * 9.0).floor() / 2.0 - 2.0));
+        }
+        m.set_objective(&objective);
+        let rows = 2 + (next() * 8.0) as usize;
+        for r in 0..rows {
+            let mut coeffs = Vec::new();
+            for &v in &vars {
+                if next() < 0.6 {
+                    coeffs.push((v, (next() * 9.0).floor() / 4.0 - 1.0));
+                }
+            }
+            let kind = match (next() * 5.0) as u32 {
+                0 => RowKind::Eq,
+                1 | 2 => RowKind::Ge,
+                _ => RowKind::Le,
+            };
+            let rhs = (next() * 13.0).floor() / 2.0 - 3.0;
+            m.add_row(&format!("r{r}"), &coeffs, kind, rhs).unwrap();
+        }
+        m
+    }
+
+    /// Branching children of `base`: each variable's range halved from
+    /// either side, then every range halved at once (a stale parent
+    /// basis).
+    fn children(base: &[(f64, f64)]) -> Vec<Vec<(f64, f64)>> {
+        let mid = |(lo, hi): (f64, f64)| match (lo.is_finite(), hi.is_finite()) {
+            (true, true) => 0.5 * (lo + hi),
+            (true, false) => lo + 1.0,
+            (false, true) => hi - 1.0,
+            (false, false) => 0.0,
+        };
+        let mut out = Vec::new();
+        for (j, &(lo, hi)) in base.iter().enumerate() {
+            for range in [(mid((lo, hi)), hi), (lo, mid((lo, hi)))] {
+                let mut child = base.to_vec();
+                child[j] = range;
+                out.push(child);
+            }
+        }
+        out.push(base.iter().map(|&(lo, hi)| (mid((lo, hi)), hi)).collect());
+        out
+    }
+
+    /// Folds everything a solve reports into the FNV-1a hash `h`: status,
+    /// objective, iterations, whether it stayed warm, the fallback cause,
+    /// `x` and the duals.
+    fn hash_solve(h: &mut u64, ws: &WarmSolve) {
+        let sol = &ws.solution;
+        let head = [
+            sol.status as u64,
+            sol.objective.to_bits(),
+            sol.iterations as u64,
+            u64::from(ws.warm_used),
+            ws.fallback.map_or(0, |e| e as u64 + 1),
+        ];
+        let values = sol.x.iter().chain(&sol.duals).map(|v| v.to_bits());
+        for word in head.into_iter().chain(values) {
+            for byte in word.to_le_bytes() {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    #[test]
+    fn solve_bits_are_pinned() {
+        // The exact bits of a cold solve, a snapshot solve and warm child
+        // solves — from the root's basis, from the previous child's, from
+        // a described root basis and from another model's — so a rewrite
+        // of the tableau builds or of the entry points must reproduce
+        // them.
+        let mut models = vec![branching_model().0, flip_model().0];
+        models.extend((0..16).map(random_lp));
+        let simplex = Simplex::new();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut previous: Option<WarmStart> = None;
+        for m in &models {
+            let base: Vec<(f64, f64)> = (0..m.num_vars())
+                .map(|i| m.bounds(crate::VarId(i)))
+                .collect();
+            let cold = |bounds: &[(f64, f64)]| {
+                WarmSolve::from(simplex.solve_with_bounds(m, bounds).unwrap())
+            };
+            let warm = |bounds: &[(f64, f64)], basis: Option<&WarmStart>| {
+                simplex.solve_warm(m, bounds, basis).unwrap()
+            };
+            hash_solve(&mut h, &cold(&base));
+            let root = warm(&base, None);
+            hash_solve(&mut h, &root);
+            if let Some(other) = &previous {
+                hash_solve(&mut h, &warm(&base, Some(other)));
+            }
+            let Some(root_basis) = root.warm else {
+                continue;
+            };
+            let children = children(&base);
+            let (basis, status) = root_basis.describe();
+            for factor in [root_basis.describe_factor(), Vec::new()] {
+                let described = WarmStart::from_description(
+                    &basis,
+                    &status,
+                    m.num_vars(),
+                    m.num_rows(),
+                    &factor,
+                )
+                .expect("a snapshot's own description");
+                hash_solve(&mut h, &warm(&children[0], Some(&described)));
+            }
+            let mut last = root_basis.clone();
+            for child in &children {
+                hash_solve(&mut h, &cold(child));
+                hash_solve(&mut h, &warm(child, Some(&root_basis)));
+                let ws = warm(child, Some(&last));
+                hash_solve(&mut h, &ws);
+                if let Some(next) = ws.warm {
+                    last = next;
+                }
+            }
+            previous = Some(root_basis);
+        }
+        assert_eq!(h, 0x5021_3979_b813_a4f7, "LP answers moved: {h:#018x}");
     }
 }

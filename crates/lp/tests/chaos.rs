@@ -121,7 +121,7 @@ fn warm_path_faults_fall_back_cold_and_record_the_cause() {
     let bounds: Vec<(f64, f64)> = (0..m.num_vars())
         .map(|i| m.bounds(certnn_lp::VarId::from_index(i)))
         .collect();
-    let root = Simplex::new().solve_snapshot(&m, &bounds).unwrap();
+    let root = Simplex::new().solve_warm(&m, &bounds, None).unwrap();
     let warm = root.warm.expect("optimal root has a snapshot");
 
     // Singular faults fire on the *first* refactorisation — the warm
@@ -132,7 +132,7 @@ fn warm_path_faults_fall_back_cold_and_record_the_cause() {
     for _ in 0..20 {
         let mut child = bounds.clone();
         child[0] = (1.0, child[0].1);
-        match Simplex::new().solve_warm(&m, &child, &warm) {
+        match Simplex::new().solve_warm(&m, &child, Some(&warm)) {
             Ok(ws) => {
                 if ws.fallback.is_some() {
                     assert!(!ws.warm_used, "error-driven fallback cannot be warm");

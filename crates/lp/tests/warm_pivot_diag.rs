@@ -50,7 +50,7 @@ fn warm_resolve_beats_cold_on_branching_pattern() {
     let mut cold_total = 0usize;
     for seed in 0..6u64 {
         let (model, bounds) = medium_lp(60, 40, seed + 1);
-        let parent = simplex.solve_snapshot(&model, &bounds).unwrap();
+        let parent = simplex.solve_warm(&model, &bounds, None).unwrap();
         if parent.solution.status != LpStatus::Optimal {
             println!("seed {seed}: parent {:?}", parent.solution.status);
             continue;
@@ -75,7 +75,7 @@ fn warm_resolve_beats_cold_on_branching_pattern() {
         child[xi].1 = child[xi].1.max(child[xi].0);
 
         let cold = simplex.solve_with_bounds(&model, &child).unwrap();
-        let ws = simplex.solve_warm(&model, &child, &warm).unwrap();
+        let ws = simplex.solve_warm(&model, &child, Some(&warm)).unwrap();
         println!(
             "seed {seed}: parent {} pivots; child cold {} pivots ({:?}) vs warm {} pivots ({:?}, used={})",
             parent.solution.iterations,
@@ -102,7 +102,7 @@ fn warm_resolve_beats_cold_on_branching_pattern() {
             b.1 -= 0.02 * w;
         }
         let cold2 = simplex.solve_with_bounds(&model, &shifted).unwrap();
-        let ws2 = simplex.solve_warm(&model, &shifted, &warm).unwrap();
+        let ws2 = simplex.solve_warm(&model, &shifted, Some(&warm)).unwrap();
         println!(
             "         many-bounds: cold {} pivots ({:?}) vs warm {} pivots ({:?}, used={})",
             cold2.iterations,

@@ -124,15 +124,6 @@ pub struct MilpStats {
     pub pivots_saved: usize,
 }
 
-impl MilpStats {
-    /// Accumulates `other` into `self` (used when merging sub-solver runs).
-    pub fn merge(&mut self, other: MilpStats) {
-        self.warm_solves += other.warm_solves;
-        self.cold_solves += other.cold_solves;
-        self.pivots_saved += other.pivots_saved;
-    }
-}
-
 /// Running warm/cold accounting that produces a [`MilpStats`].
 ///
 /// `pivots_saved` uses the running mean of cold-solve pivot counts as the
@@ -327,19 +318,12 @@ impl BranchAndBound {
             // Warm-start from the nearest solved ancestor's basis when
             // enabled and available; `solve_warm` itself falls back to a
             // cold run on a stale or singular snapshot.
-            let attempt = match (self.opts.warm_start, node.warm.as_deref()) {
-                (true, Some(warm)) => simplex.solve_warm(lp, &node.bounds, warm),
-                (true, None) => simplex.solve_snapshot(lp, &node.bounds),
-                (false, _) => {
-                    simplex
-                        .solve_with_bounds(lp, &node.bounds)
-                        .map(|solution| WarmSolve {
-                            solution,
-                            warm: None,
-                            warm_used: false,
-                            fallback: None,
-                        })
-                }
+            let attempt = if self.opts.warm_start {
+                simplex.solve_warm(lp, &node.bounds, node.warm.as_deref())
+            } else {
+                simplex
+                    .solve_with_bounds(lp, &node.bounds)
+                    .map(WarmSolve::from)
             };
             // Retry ladder: warm → cold happens inside `solve_warm` (the
             // cause, if any, lands in `ws.fallback`); a typed solve error
@@ -354,7 +338,7 @@ impl BranchAndBound {
                     }
                     ws
                 }
-                Err(LpError::Solve(_)) => match simplex.solve_snapshot(lp, &node.bounds) {
+                Err(LpError::Solve(_)) => match simplex.solve_warm(lp, &node.bounds, None) {
                     Ok(ws) => {
                         degradation = degradation.merge(Degradation::ColdFallback);
                         ws
@@ -754,23 +738,6 @@ mod tests {
             warm.lp_iterations,
             cold.lp_iterations
         );
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let mut a = MilpStats {
-            warm_solves: 1,
-            cold_solves: 2,
-            pivots_saved: 3,
-        };
-        a.merge(MilpStats {
-            warm_solves: 10,
-            cold_solves: 20,
-            pivots_saved: 30,
-        });
-        assert_eq!(a.warm_solves, 11);
-        assert_eq!(a.cold_solves, 22);
-        assert_eq!(a.pivots_saved, 33);
     }
 
     #[test]

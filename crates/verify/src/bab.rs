@@ -63,12 +63,13 @@ use crate::checkpoint::{
 };
 use crate::encoder::{encode, BoundMethod, Encoding};
 use crate::property::{InputSpec, LinearObjective};
+use crate::verifier::{VerifyStats, NODE_HAND_OFF_UNSTABLE};
 use crate::VerifyError;
 use certnn_linalg::Vector;
 use certnn_lp::{
     Deadline, Degradation, LpError, LpStatus, Simplex, VarId, WarmSolve, WarmStart,
 };
-use certnn_milp::{MilpError, MilpModel, MilpStats, MilpStatus, WarmTracker, INT_TOL};
+use certnn_milp::{MilpError, MilpModel, MilpStatus, WarmTracker, INT_TOL};
 use certnn_nn::network::Network;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -208,7 +209,7 @@ impl Default for BabOptions {
             time_limit: None,
             node_limit: None,
             abs_gap: 1e-6,
-            milp_threshold: 8,
+            milp_threshold: NODE_HAND_OFF_UNSTABLE,
             target_objective: None,
             bound_cutoff: None,
             threads: 1,
@@ -230,37 +231,23 @@ pub struct BabResult {
     pub witness: Option<Vector>,
     /// Proven upper bound on the maximum.
     pub upper_bound: f64,
-    /// Search nodes explored under either rule.
+    /// Search nodes explored under either rule (`stats.nodes`).
     pub nodes: usize,
-    /// Hand-offs from the phase rule to the LP rule.
-    pub milp_calls: usize,
-    /// Simplex pivots across every node LP.
-    pub lp_iterations: usize,
-    /// Statistics of the underlying MILP encoding (for reporting).
-    pub encoding_stats: crate::encoder::EncodingStats,
-    /// Wall time.
-    pub elapsed: Duration,
     /// Search workers used (after resolving `threads == 0`).
     pub threads_used: usize,
     /// Node throughput on the search clock: `nodes` divided by the
     /// bound+branch wall time summed across workers. Setup (encoding,
     /// root analysis) and result folding are excluded, so the figure is
-    /// comparable across thread counts; it falls back to `nodes / elapsed`
-    /// only when no node was ever timed.
+    /// comparable across thread counts; it falls back to `nodes` divided
+    /// by `stats.elapsed` only when no node was ever timed.
     pub nodes_per_sec: f64,
-    /// Warm-start accounting of every node LP, aggregated over all
-    /// workers.
-    pub warm_stats: MilpStats,
-    /// Nodes whose LP relaxation the skip gate elided (see
-    /// [`BabOptions::lp_skip`]). `0` when the gate is off.
-    pub lp_skipped: usize,
-    /// Nodes whose LP relaxation ran while the skip gate was active.
-    pub lp_forced: usize,
-    /// Worst degradation encountered anywhere in the search: `Exact`
-    /// unless a fault forced a fallback, a worker panicked, or a deadline
-    /// folded unexplored subtrees into the bound. The bound is sound at
-    /// every level.
-    pub degradation: Degradation,
+    /// The solve record: every node LP of every worker, the skip gate's
+    /// counts, the encoding's size, the wall time and the worst
+    /// degradation met anywhere in the search — `Exact` unless a fault
+    /// forced a fallback, a worker panicked, or a deadline folded
+    /// unexplored subtrees into the bound. The bound is sound at every
+    /// level.
+    pub stats: VerifyStats,
 }
 
 #[derive(Clone)]
@@ -457,27 +444,23 @@ struct SearchState {
 /// Per-worker statistic accumulators, merged after the join.
 #[derive(Default)]
 struct WorkerCounters {
+    /// This worker's share of the solve record: its node LPs (warm, cold
+    /// and pivots), the skip gate's counts and the worst degradation its
+    /// solves met.
+    stats: VerifyStats,
+    /// Running warm/cold split of the node LPs behind
+    /// `stats.pivots_saved`.
+    tracker: WarmTracker,
     /// Hand-offs from the phase rule to the LP rule.
     milp_calls: usize,
     /// LP-rule nodes processed.
     lp_rule_nodes: usize,
-    lp_iterations: usize,
-    /// Warm/cold accounting of this worker's node LPs.
-    tracker: WarmTracker,
-    /// Worst degradation observed by this worker's solves.
-    degradation: Degradation,
     /// Wall time this worker spent bounding nodes (analysis and node
     /// LPs, the whole of an LP-rule node), nanoseconds.
     bound_nanos: u64,
     /// Wall time this worker spent selecting branch variables and
     /// building children, nanoseconds.
     branch_nanos: u64,
-    /// Nodes whose LP relaxation the skip gate elided (symbolic bound far
-    /// above the prune level).
-    lp_skipped: usize,
-    /// Nodes whose LP relaxation ran with the skip gate active (bound
-    /// within the margin, or no finite prune level yet).
-    lp_forced: usize,
 }
 
 /// What one processed node produced.
@@ -1310,42 +1293,38 @@ pub fn bab_maximize_ckpt(
     });
 
     let fold_phase = certnn_obs::phase(certnn_obs::Phase::Fold);
+    let mut stats = VerifyStats {
+        binaries: enc.stats.binaries,
+        rows: enc.stats.rows,
+        ..VerifyStats::default()
+    };
     let mut milp_calls = 0usize;
     let mut lp_rule_nodes = 0usize;
-    let mut lp_iterations = 0usize;
-    let mut lp_skipped = 0usize;
-    let mut lp_forced = 0usize;
-    let mut warm_stats = MilpStats::default();
-    let mut degradation = Degradation::Exact;
     let mut search_nanos = 0u64;
     for (wid, result) in worker_results.into_iter().enumerate() {
-        let counters = result?;
+        let mut counters = result?;
+        counters.stats.pivots_saved = counters.tracker.stats().pivots_saved;
         milp_calls += counters.milp_calls;
         lp_rule_nodes += counters.lp_rule_nodes;
-        lp_iterations += counters.lp_iterations;
-        lp_skipped += counters.lp_skipped;
-        lp_forced += counters.lp_forced;
         search_nanos += counters.bound_nanos + counters.branch_nanos;
-        // Structured per-worker warm-start accounting (replaces the old
-        // CERTNN_WARM_DEBUG stderr dump): machine-readable in the trace,
-        // silent otherwise.
-        let lp_stats = counters.tracker.stats();
+        // Structured per-worker accounting: machine-readable in the
+        // trace, silent otherwise.
+        let worker = &counters.stats;
         certnn_obs::event(
             "bab.worker_stats",
             vec![
                 ("worker", wid.into()),
-                ("lp_warm_solves", lp_stats.warm_solves.into()),
-                ("lp_cold_solves", lp_stats.cold_solves.into()),
-                ("lp_pivots_saved", lp_stats.pivots_saved.into()),
-                ("lp_skipped", counters.lp_skipped.into()),
-                ("lp_forced", counters.lp_forced.into()),
+                ("lp_warm_solves", worker.warm_solves.into()),
+                ("lp_cold_solves", worker.cold_solves.into()),
+                ("lp_pivots_saved", worker.pivots_saved.into()),
+                ("lp_skipped", worker.lp_skipped.into()),
+                ("lp_forced", worker.lp_forced.into()),
                 ("lp_rule_nodes", counters.lp_rule_nodes.into()),
                 ("bound_nanos", counters.bound_nanos.into()),
                 ("branch_nanos", counters.branch_nanos.into()),
             ],
         );
-        warm_stats.merge(lp_stats);
-        degradation = degradation.merge(counters.degradation);
+        stats.merge(worker);
     }
 
     let frontier = state
@@ -1357,7 +1336,7 @@ pub fn bab_maximize_ckpt(
         .into_inner()
         .unwrap_or_else(|e| e.into_inner());
     let mut status = frontier.halt.unwrap_or(MilpStatus::Optimal);
-    degradation = degradation.merge(frontier.degradation);
+    stats.degradation = stats.degradation.merge(frontier.degradation);
     let best = incumbent.as_ref().map(|(_, v)| *v);
 
     let mut upper_bound = if status == MilpStatus::Optimal {
@@ -1398,12 +1377,13 @@ pub fn bab_maximize_ckpt(
     // Closed searches are unaffected (the optimum sits below the ceiling).
     upper_bound = upper_bound.min(iv_ceiling);
     if status == MilpStatus::TimeLimit {
-        degradation = degradation.merge(Degradation::TimedOut);
+        stats.degradation = stats.degradation.merge(Degradation::TimedOut);
     } else if status == MilpStatus::Aborted {
-        degradation = degradation.merge(Degradation::IntervalOnly);
+        stats.degradation = stats.degradation.merge(Degradation::IntervalOnly);
     }
 
-    let elapsed = start.elapsed();
+    stats.nodes = frontier.nodes;
+    stats.elapsed = start.elapsed();
     let (witness, best_value) = match incumbent {
         Some((x, v)) => (Some(x), Some(v)),
         None => (None, None),
@@ -1414,7 +1394,7 @@ pub fn bab_maximize_ckpt(
     let nodes_per_sec = if search_nanos > 0 {
         frontier.nodes as f64 / (search_nanos as f64 * 1e-9)
     } else {
-        frontier.nodes as f64 / elapsed.as_secs_f64().max(1e-9)
+        frontier.nodes as f64 / stats.elapsed.as_secs_f64().max(1e-9)
     };
 
     if certnn_obs::enabled() {
@@ -1423,15 +1403,15 @@ pub fn bab_maximize_ckpt(
         m.milp_calls.add(milp_calls as u64);
         m.milp_solves.add(milp_calls as u64);
         m.milp_nodes.add(lp_rule_nodes as u64);
-        m.lp_skipped.add(lp_skipped as u64);
-        m.lp_forced.add(lp_forced as u64);
+        m.lp_skipped.add(stats.lp_skipped as u64);
+        m.lp_forced.add(stats.lp_forced as u64);
         certnn_obs::event(
             "bab.done",
             vec![
                 ("status", format!("{status:?}").into()),
-                ("degradation", degradation.as_str().into()),
+                ("degradation", stats.degradation.as_str().into()),
                 ("nodes", frontier.nodes.into()),
-                ("lp_skipped", lp_skipped.into()),
+                ("lp_skipped", stats.lp_skipped.into()),
                 ("upper_bound", upper_bound.into()),
                 ("search_nanos", search_nanos.into()),
                 ("threads", threads_used.into()),
@@ -1442,7 +1422,6 @@ pub fn bab_maximize_ckpt(
     // caller holds a resumable handle; a finished answer (optimal,
     // cutoff, target, infeasible) deletes the file — a completed query
     // must not leave a stale resume behind.
-    let total_nodes = frontier.nodes;
     if let Some(rt) = &state.ckpt {
         let resumable = matches!(
             status,
@@ -1453,7 +1432,7 @@ pub fn bab_maximize_ckpt(
             nodes.extend(frontier.claimed.into_iter().flatten());
             let job = SnapshotJob {
                 nodes,
-                nodes_done: (total_nodes - frontier.in_flight) as u64,
+                nodes_done: (stats.nodes - frontier.in_flight) as u64,
                 next_seq: frontier.next_seq,
                 dropped: frontier.dropped,
                 degradation: frontier.sticky_degradation,
@@ -1475,17 +1454,10 @@ pub fn bab_maximize_ckpt(
         best_value,
         witness,
         upper_bound,
-        nodes: total_nodes,
-        milp_calls,
-        lp_iterations,
-        encoding_stats: enc.stats,
-        elapsed,
+        nodes: stats.nodes,
         threads_used,
         nodes_per_sec,
-        warm_stats,
-        lp_skipped,
-        lp_forced,
-        degradation,
+        stats,
     })
 }
 
@@ -1614,7 +1586,7 @@ fn process_node(
     let run_lp = if !opts.lp_skip {
         true
     } else if hand_off {
-        counters.lp_skipped += 1;
+        counters.stats.lp_skipped += 1;
         false
     } else {
         let pivot = state
@@ -1622,9 +1594,9 @@ fn process_node(
             .max(opts.bound_cutoff.unwrap_or(f64::NEG_INFINITY));
         let near = pivot.is_finite() && node_bound <= pivot;
         if near {
-            counters.lp_skipped += 1;
+            counters.stats.lp_skipped += 1;
         } else {
-            counters.lp_forced += 1;
+            counters.stats.lp_forced += 1;
         }
         !near
     };
@@ -1653,14 +1625,7 @@ fn process_node(
         // degrades gracefully: skip the tightening for this node and keep
         // the sound symbolic bound instead of aborting the search.
         let warm = node.warm.as_deref().or(lp_warm.as_deref());
-        let solved = solve_node_lp(
-            ctx,
-            &mut counters.tracker,
-            &mut counters.lp_iterations,
-            &mut counters.degradation,
-            &nb,
-            warm,
-        )?;
+        let solved = solve_node_lp(ctx, &mut counters.stats, &mut counters.tracker, &nb, warm)?;
         if let Some(ws) = solved {
             if let Some(snap) = ws.warm {
                 let snap = Arc::new(snap);
@@ -1800,9 +1765,8 @@ fn lp_rule_node(
     }
     let solved = solve_node_lp(
         ctx,
+        &mut counters.stats,
         &mut counters.tracker,
-        &mut counters.lp_iterations,
-        &mut counters.degradation,
         &bounds,
         node.warm.as_deref(),
     )?;
@@ -1822,7 +1786,8 @@ fn lp_rule_node(
         // The encoding is bounded, so this is the iteration cap: the node
         // stays unresolved and keeps its sound bound in the fold.
         _ => {
-            counters.degradation = counters.degradation.merge(Degradation::IntervalOnly);
+            counters.stats.degradation =
+                counters.stats.degradation.merge(Degradation::IntervalOnly);
             return Ok(NodeOutcome::dropped(node.bound));
         }
     }
@@ -1884,49 +1849,46 @@ fn lp_rule_node(
     })
 }
 
-/// Solves the relaxation of `ctx.obj_model` under `bounds`: warm from
-/// `warm` when warm starts are on and a basis is at hand, cold otherwise.
-/// Books the solve's warm/cold split and pivots, and tags an error-driven
-/// cold fallback. A typed numeric failure that even `solve_warm`'s cold
-/// rung could not absorb yields `None`, tagged
+/// Solves the relaxation of `ctx.obj_model` under `bounds`: with warm
+/// starts on, warm from `warm` or cold with a snapshot when no basis is at
+/// hand; with them off, cold without one. Books the solve's warm/cold
+/// split and pivots into `stats` (and `tracker`, for `pivots_saved`), and
+/// tags an error-driven cold fallback. A typed numeric failure that even
+/// `solve_warm`'s cold rung could not absorb yields `None`, tagged
 /// [`Degradation::IntervalOnly`].
 fn solve_node_lp(
     ctx: &SearchCtx,
+    stats: &mut VerifyStats,
     tracker: &mut WarmTracker,
-    lp_iterations: &mut usize,
-    degradation: &mut Degradation,
     bounds: &[(f64, f64)],
     warm: Option<&WarmStart>,
 ) -> Result<Option<WarmSolve>, VerifyError> {
     let lp = ctx.obj_model.relaxation();
-    let attempt = match (ctx.opts.warm_start, warm) {
-        (true, Some(w)) => ctx.simplex.solve_warm(lp, bounds, w),
-        (true, None) => ctx.simplex.solve_snapshot(lp, bounds),
-        (false, _) => ctx
-            .simplex
+    let attempt = if ctx.opts.warm_start {
+        ctx.simplex.solve_warm(lp, bounds, warm)
+    } else {
+        ctx.simplex
             .solve_with_bounds(lp, bounds)
-            .map(|solution| WarmSolve {
-                solution,
-                warm: None,
-                warm_used: false,
-                fallback: None,
-            }),
+            .map(WarmSolve::from)
     };
     match attempt {
         Ok(ws) => {
+            let pivots = ws.solution.iterations;
             if ws.warm_used {
-                tracker.record_warm(ws.solution.iterations);
+                stats.warm_solves += 1;
+                tracker.record_warm(pivots);
             } else {
-                tracker.record_cold(ws.solution.iterations);
+                stats.cold_solves += 1;
+                tracker.record_cold(pivots);
             }
             if ws.fallback.is_some() {
-                *degradation = degradation.merge(Degradation::ColdFallback);
+                stats.degradation = stats.degradation.merge(Degradation::ColdFallback);
             }
-            *lp_iterations += ws.solution.iterations;
+            stats.lp_iterations += pivots;
             Ok(Some(ws))
         }
         Err(LpError::Solve(_)) => {
-            *degradation = degradation.merge(Degradation::IntervalOnly);
+            stats.degradation = stats.degradation.merge(Degradation::IntervalOnly);
             Ok(None)
         }
         Err(e) => Err(VerifyError::from(MilpError::from(e))),

@@ -1,6 +1,6 @@
 //! Verification queries: exact output maximisation and bound proofs.
 
-use crate::bab::{bab_maximize_ckpt, BabOptions, BabResult};
+use crate::bab::{bab_maximize_ckpt, BabOptions};
 use crate::bounds::PhaseAnalyzer;
 use crate::checkpoint::CheckpointPolicy;
 use crate::property::{InputSpec, LinearObjective};
@@ -91,24 +91,6 @@ impl VerifyStats {
     /// width the binary encodings store).
     pub fn elapsed_nanos(&self) -> u64 {
         self.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-}
-
-impl From<&BabResult> for VerifyStats {
-    fn from(r: &BabResult) -> Self {
-        Self {
-            nodes: r.nodes,
-            lp_iterations: r.lp_iterations,
-            binaries: r.encoding_stats.binaries,
-            rows: r.encoding_stats.rows,
-            warm_solves: r.warm_stats.warm_solves,
-            cold_solves: r.warm_stats.cold_solves,
-            pivots_saved: r.warm_stats.pivots_saved,
-            lp_skipped: r.lp_skipped,
-            lp_forced: r.lp_forced,
-            elapsed: r.elapsed,
-            degradation: r.degradation,
-        }
     }
 }
 
@@ -209,6 +191,15 @@ impl Verdict {
 /// I4×12).
 pub const AUTO_HAND_OFF_UNSTABLE: usize = 23;
 
+/// Most neurons a node of a neuron-branching search may leave unstable
+/// before it switches to the LP rule: under [`Engine::HybridBab`], for the
+/// queries [`Engine::Auto`] sends to neuron branching, and in
+/// [`BabOptions::default`]. The root decision of [`Engine::Auto`] uses
+/// [`AUTO_HAND_OFF_UNSTABLE`] instead: nodes below the root solve their LP
+/// rule on the encoding's base bounds, so a larger in-search threshold
+/// slows the wide queries down.
+pub const NODE_HAND_OFF_UNSTABLE: usize = 8;
+
 /// Where the one search engine, the neuron branch-and-bound of
 /// [`crate::bab`], switches nodes from phase branching to the big-M
 /// MILP's LP rule.
@@ -224,7 +215,7 @@ pub enum Engine {
     Auto,
     /// Neuron branching with symbolic re-propagation and LP bounding per
     /// node; a node switches to the LP rule once at most
-    /// [`VerifierOptions::milp_threshold`] neurons remain unstable.
+    /// [`NODE_HAND_OFF_UNSTABLE`] neurons remain unstable.
     HybridBab,
     /// The pure big-M MILP of Cheng et al. (ATVA 2017): the root node
     /// switches to the LP rule at once, so the whole big-M tree is
@@ -237,13 +228,6 @@ pub enum Engine {
 pub struct VerifierOptions {
     /// Where the search switches nodes to the LP rule.
     pub engine: Engine,
-    /// Switch a BaB node to the LP rule once at most this many neurons
-    /// remain unstable, under [`Engine::HybridBab`] and for the queries
-    /// [`Engine::Auto`] sends to neuron branching. The root decision of
-    /// [`Engine::Auto`] uses [`AUTO_HAND_OFF_UNSTABLE`] instead: nodes
-    /// below the root solve their LP rule on the encoding's base bounds,
-    /// so a larger in-search threshold slows the wide queries down.
-    pub milp_threshold: usize,
     /// Wall-clock limit per query; `None` = unlimited.
     pub time_limit: Option<Duration>,
     /// Search-node limit per query, counting nodes of both rules;
@@ -273,7 +257,6 @@ impl Default for VerifierOptions {
     fn default() -> Self {
         Self {
             engine: Engine::Auto,
-            milp_threshold: 8,
             time_limit: None,
             node_limit: None,
             abs_gap: 1e-6,
@@ -352,7 +335,7 @@ impl Verifier {
             node_limit: self.opts.node_limit,
             abs_gap: self.opts.abs_gap,
             milp_threshold: if branch {
-                self.opts.milp_threshold
+                NODE_HAND_OFF_UNSTABLE
             } else {
                 usize::MAX
             },
@@ -388,7 +371,7 @@ impl Verifier {
             self.checkpoints.as_ref(),
         )?;
         Ok(MaxResult {
-            stats: VerifyStats::from(&r),
+            stats: r.stats,
             status: r.status,
             upper_bound: r.upper_bound,
             best_value: r.best_value,
@@ -455,7 +438,6 @@ impl Verifier {
             self.deadline.clone(),
             self.checkpoints.as_ref(),
         )?;
-        let stats = VerifyStats::from(&r);
         let verdict = match r.status {
             MilpStatus::BoundCutoff => Verdict::Holds {
                 bound: r.upper_bound,
@@ -477,7 +459,7 @@ impl Verifier {
                 upper_bound: r.upper_bound,
             },
         };
-        Ok((verdict, stats))
+        Ok((verdict, r.stats))
     }
 }
 
@@ -703,7 +685,7 @@ mod tests {
             rhs: 0.5,
         };
         let auto = Verifier::new();
-        let branching = VerifierOptions::default().milp_threshold;
+        let branching = NODE_HAND_OFF_UNSTABLE;
         let cases = [
             (Network::relu_mlp(84, &[10, 10], 1, 7).unwrap(), unit_spec(84)),
             (Network::relu_mlp(84, &[20, 20], 1, 7).unwrap(), unit_spec(84)),

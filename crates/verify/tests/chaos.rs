@@ -30,7 +30,7 @@ fn clean_exact(net: &Network, spec: &InputSpec, obj: &LinearObjective) -> f64 {
     fault::clear();
     let r = bab_maximize(net, spec, obj, &BabOptions::default()).unwrap();
     assert_eq!(r.status, MilpStatus::Optimal);
-    assert_eq!(r.degradation, Degradation::Exact);
+    assert_eq!(r.stats.degradation, Degradation::Exact);
     r.best_value.unwrap()
 }
 
@@ -73,7 +73,7 @@ fn injected_worker_panics_are_isolated_and_bounds_stay_sound() {
             assert!((net.forward(w).unwrap()[0] - v).abs() < 1e-6);
             assert!(v <= exact + 1e-6, "witness value above the true maximum");
         }
-        if r.degradation > Degradation::Exact {
+        if r.stats.degradation > Degradation::Exact {
             degraded += 1;
         }
     }
@@ -99,9 +99,9 @@ fn total_panic_storm_still_returns_a_sound_interval_verdict() {
         r.upper_bound
     );
     assert!(
-        r.degradation >= Degradation::IntervalOnly,
+        r.stats.degradation >= Degradation::IntervalOnly,
         "storm run must report interval degradation, got {:?}",
-        r.degradation
+        r.stats.degradation
     );
     assert_ne!(
         r.status,
@@ -131,7 +131,7 @@ fn dense_numeric_faults_keep_the_hybrid_search_sound() {
             "unsound bound {} < optimum {exact} (status {:?}, degradation {:?})",
             r.upper_bound,
             r.status,
-            r.degradation
+            r.stats.degradation
         );
         if r.status == MilpStatus::Optimal {
             assert!((r.best_value.unwrap() - exact).abs() < 1e-5);

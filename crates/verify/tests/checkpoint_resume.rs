@@ -107,8 +107,8 @@ fn interrupted_and_resumed_run_matches_uninterrupted_exactly() {
             second.nodes, full.nodes,
             "cumulative node count must match the uninterrupted run"
         );
-        assert_eq!(second.degradation, full.degradation);
-        assert_eq!(second.degradation, Degradation::Exact);
+        assert_eq!(second.stats.degradation, full.stats.degradation);
+        assert_eq!(second.stats.degradation, Degradation::Exact);
         assert!(
             ckpt_files(&dir).is_empty(),
             "a completed query must delete its snapshot"
@@ -149,7 +149,7 @@ fn interrupted_constrained_query_resumes_to_the_uninterrupted_answer() {
     );
     assert_eq!(second.upper_bound.to_bits(), full.upper_bound.to_bits());
     assert_eq!(second.nodes, full.nodes);
-    assert_eq!(second.degradation, Degradation::Exact);
+    assert_eq!(second.stats.degradation, Degradation::Exact);
     assert!(ckpt_files(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -184,7 +184,7 @@ fn repeated_interruptions_accumulate_to_the_same_answer() {
     assert_eq!(finished.status, full.status);
     assert_eq!(finished.best_value.unwrap().to_bits(), full_value.to_bits());
     assert_eq!(finished.nodes, full.nodes);
-    assert_eq!(finished.degradation, Degradation::Exact);
+    assert_eq!(finished.stats.degradation, Degradation::Exact);
     assert!(ckpt_files(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -220,7 +220,7 @@ fn corrupted_snapshot_falls_back_to_fresh_solve_with_tag() {
         "fallback solve must still find the true optimum"
     );
     assert_eq!(
-        r.degradation,
+        r.stats.degradation,
         Degradation::CheckpointFallback,
         "a rejected snapshot must be surfaced as CheckpointFallback"
     );
@@ -252,7 +252,7 @@ fn query_mismatch_is_rejected_even_with_valid_checksums() {
 
     let r = solve(&net, &opts, Some(&pol));
     assert_eq!(r.status, certnn_milp::MilpStatus::Optimal);
-    assert_eq!(r.degradation, Degradation::CheckpointFallback);
+    assert_eq!(r.stats.degradation, Degradation::CheckpointFallback);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -272,7 +272,7 @@ fn checkpointing_on_a_clean_run_changes_nothing_and_leaves_no_file() {
         plain.best_value.unwrap().to_bits()
     );
     assert_eq!(with_ckpt.nodes, plain.nodes);
-    assert_eq!(with_ckpt.degradation, plain.degradation);
+    assert_eq!(with_ckpt.stats.degradation, plain.stats.degradation);
     assert!(
         ckpt_files(&dir).is_empty(),
         "a completed query must not leave a snapshot behind"
@@ -302,7 +302,7 @@ fn assert_resumed_exactly(full: &BabResult, resumed: &BabResult, dir: &Path) {
         resumed.nodes, full.nodes,
         "cumulative node count must match the uninterrupted run"
     );
-    assert_eq!(resumed.degradation, Degradation::Exact);
+    assert_eq!(resumed.stats.degradation, Degradation::Exact);
     assert!(ckpt_files(dir).is_empty(), "a completed query must delete its snapshot");
 }
 
@@ -345,7 +345,7 @@ fn root_hand_off_stopped_by_a_deadline_resumes_exactly() {
         resume: false,
         ..policy(&dir)
     };
-    let budget = solve(&net, &opts, Some(&timing)).elapsed;
+    let budget = solve(&net, &opts, Some(&timing)).stats.elapsed;
     let _ = std::fs::remove_dir_all(&dir);
     let mut stopped = 0;
     for frac in [4u32, 2] {
@@ -358,7 +358,7 @@ fn root_hand_off_stopped_by_a_deadline_resumes_exactly() {
         let first = solve(&net, &limited, Some(&pol));
         if first.status == certnn_milp::MilpStatus::TimeLimit {
             stopped += 1;
-            assert_eq!(first.degradation, Degradation::TimedOut);
+            assert_eq!(first.stats.degradation, Degradation::TimedOut);
             assert_eq!(ckpt_files(&dir).len(), 1);
             let second = solve(&net, &opts, Some(&pol));
             assert_resumed_exactly(&full, &second, &dir);

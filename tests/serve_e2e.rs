@@ -1,19 +1,14 @@
 //! End-to-end serve suite: the daemon must be a *transparent* substitute
 //! for in-process verification.
 //!
-//! Two contracts are held here:
-//!
-//! 1. **Bit-identity.** The smoke fleet verified over the wire
-//!    ([`certnn_serve::fleet::run_fleet_over`]) must produce verdicts,
-//!    verified maxima and solve records (every counter and the
-//!    degradation tag; only wall time may differ) identical to the
-//!    in-process [`certnn_core::fleet::run_fleet`]. Anything else means
-//!    the service path silently forked the verifier.
-//! 2. **Memoization.** N identical submissions must cost exactly one
-//!    solve: the first is `Fresh`, every later one answers from the
-//!    in-memory job table or the on-disk certificate cache, observable
-//!    through the daemon's `serve.cache_hits` counter (plain stats, the
-//!    obs mirror, and the `METRICS` wire frame all agree).
+//! The smoke fleet verified over the wire
+//! ([`certnn_serve::fleet::run_fleet_over`]) must produce verdicts,
+//! verified maxima and solve records (every counter and the degradation
+//! tag; only wall time may differ) identical to the in-process
+//! [`certnn_core::fleet::run_fleet`]. Anything else means the service
+//! path silently forked the verifier. A restarted daemon must answer
+//! from its on-disk certificates. The memoization contract, which reads
+//! the process-global obs registry, lives in `serve_memoization.rs`.
 
 use certnn_core::fleet::{
     fleet_dataset, member_seed, train_member, FleetConfig, FleetMember,
@@ -69,99 +64,6 @@ fn wire_fleet_is_bit_identical_to_in_process_fleet() {
         };
         assert_eq!(untimed(a), untimed(b), "solve record drifted on seed {}", a.seed);
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn identical_submissions_cost_exactly_one_solve() {
-    const N: usize = 4;
-    certnn_obs::set_enabled(true);
-    certnn_obs::reset();
-
-    let config = FleetConfig::smoke_test();
-    let (data, _) = fleet_dataset(&config).expect("dataset");
-    let (net, _) = train_member(&config, member_seed(0), &data).expect("training");
-    let spec = left_vehicle_spec();
-    let layout = OutputLayout::new(1);
-    let objectives = lateral_mean_objectives(layout);
-    let opts = config.run.verifier_options(config.fleet_size);
-
-    let dir = temp_dir("cache");
-    let server = Server::start(ServeOptions::loopback(&dir)).expect("daemon starts");
-    let mut client = Client::connect(server.addr()).expect("client connects");
-
-    let mut reference = Vec::new();
-    for round in 0..N {
-        for (k, obj) in objectives.iter().enumerate() {
-            let req = JobRequest::from_query(&net, &spec, obj, &opts, None);
-            let submitted = client.submit(&req).expect("submit succeeds");
-            if round == 0 {
-                assert_eq!(
-                    submitted.disposition,
-                    Disposition::Fresh,
-                    "first submission of objective {k} must solve"
-                );
-            }
-            let outcome = client.result(submitted.job).expect("result arrives");
-            assert_eq!(outcome.key, submitted.key);
-            if round == 0 {
-                assert!(!outcome.cache_hit, "first outcome must be a fresh solve");
-                reference.push(outcome);
-            } else {
-                assert_ne!(
-                    submitted.disposition,
-                    Disposition::Fresh,
-                    "resubmission of objective {k} (round {round}) must not re-solve"
-                );
-                assert!(outcome.cache_hit, "resubmitted outcome must be cache-served");
-                let fresh = &reference[k];
-                // The cached certificate replays the fresh solve
-                // bit-for-bit (modulo the cache_hit flag itself).
-                assert_eq!(outcome.status, fresh.status);
-                assert_eq!(outcome.upper_bound.to_bits(), fresh.upper_bound.to_bits());
-                assert_eq!(
-                    outcome.best_value.map(f64::to_bits),
-                    fresh.best_value.map(f64::to_bits)
-                );
-                assert_eq!(outcome.witness, fresh.witness);
-                assert_eq!(outcome.stats, fresh.stats);
-                assert_eq!(outcome.degradation, fresh.degradation);
-            }
-        }
-    }
-
-    let per_query = objectives.len() as u64;
-    let expected_hits = (N as u64 - 1) * per_query;
-    // Plain always-on stats.
-    let stats = server.stats();
-    assert_eq!(stats.get("serve.cache_misses"), per_query);
-    assert_eq!(stats.get("serve.cache_hits"), expected_hits);
-    assert_eq!(stats.get("serve.jobs_completed"), per_query);
-    assert_eq!(stats.get("serve.jobs_submitted"), (N as u64) * per_query);
-    // The obs mirror recorded the hits too. The obs registry is
-    // process-global (concurrently running tests may add to it), so the
-    // mirror is a floor, not an exact match; the per-daemon counters
-    // above carry the exact contract.
-    assert!(
-        certnn_obs::counter("serve.cache_hits").get() >= expected_hits,
-        "obs serve.cache_hits mirror missed hits recorded by the plain counter"
-    );
-    // And the METRICS wire frame agrees.
-    let wire_stats = client.metrics().expect("metrics frame").counters;
-    let get = |name: &str| {
-        wire_stats
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("missing {name} in METRICS reply"))
-    };
-    assert_eq!(get("serve.cache_hits"), expected_hits);
-    assert_eq!(get("serve.cache_misses"), per_query);
-    assert_eq!(get("serve.jobs_completed"), per_query);
-
-    drop(server);
-    certnn_obs::set_enabled(false);
-    certnn_obs::reset();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,10 +8,18 @@
 //! count.
 
 use certnn_bench::table2::{run_table2, Table2Config};
-use certnn_core::scenario::left_vehicle_spec;
-use certnn_lp::{LpModel, LpStatus, RowKind, Sense, Simplex, VarId};
+use certnn_core::scenario::{lateral_mean_objectives, left_vehicle_spec};
+use certnn_datacheck::highway::highway_validator;
+use certnn_lp::{LpModel, LpStatus, RowKind, Sense, Simplex, VarId, WarmSolve, WarmStart};
+use certnn_nn::gmm::OutputLayout;
+use certnn_nn::loss::GmmNll;
 use certnn_nn::network::Network;
+use certnn_nn::train::{Dataset, TrainConfig, Trainer};
+use certnn_sim::features::FEATURE_COUNT;
+use certnn_sim::scenario::generate_dataset;
+use certnn_verify::bab::DEFAULT_ALPHA_ITERS;
 use certnn_verify::encoder::{encode, BoundMethod};
+use certnn_verify::sealed::Fnv1a;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +66,7 @@ proptest! {
         let simplex = Simplex::new();
         let parent_bounds: Vec<(f64, f64)> =
             (0..n_vars).map(|i| (lo[i], lo[i] + span[i])).collect();
-        let parent = simplex.solve_snapshot(&m, &parent_bounds).unwrap();
+        let parent = simplex.solve_warm(&m, &parent_bounds, None).unwrap();
         prop_assume!(parent.solution.status == LpStatus::Optimal);
         let Some(warm) = parent.warm else {
             // Artificial variables left in the basis: nothing to warm from.
@@ -80,7 +88,7 @@ proptest! {
             .collect();
 
         let cold = simplex.solve_with_bounds(&m, &child_bounds).unwrap();
-        let warm_solve = simplex.solve_warm(&m, &child_bounds, &warm).unwrap();
+        let warm_solve = simplex.solve_warm(&m, &child_bounds, Some(&warm)).unwrap();
         prop_assert_eq!(
             cold.status,
             warm_solve.solution.status,
@@ -181,7 +189,7 @@ fn warm_dives_on_the_big_m_encoding_match_cold() {
     assert!(binaries.len() >= 8, "only {} unstable neurons", binaries.len());
 
     let simplex = Simplex::new();
-    let root = simplex.solve_snapshot(&lp, &root_bounds).unwrap();
+    let root = simplex.solve_warm(&lp, &root_bounds, None).unwrap();
     assert_eq!(root.solution.status, LpStatus::Optimal);
     let (mut warm_solves, mut warm_iterations) = (0usize, 0usize);
     for dive in 0..3u64 {
@@ -197,7 +205,7 @@ fn warm_dives_on_the_big_m_encoding_match_cold() {
                 let mut child = bounds.clone();
                 child[b.index()] = (phase, phase);
                 let cold = simplex.solve_with_bounds(&lp, &child).unwrap();
-                let ws = simplex.solve_warm(&lp, &child, &warm).unwrap();
+                let ws = simplex.solve_warm(&lp, &child, Some(&warm)).unwrap();
                 let at = format!("dive {dive}, depth {depth}, phase {phase}");
                 assert_eq!(ws.solution.status, cold.status, "{at}");
                 assert_eq!(ws.fallback, None, "{at}");
@@ -218,4 +226,115 @@ fn warm_dives_on_the_big_m_encoding_match_cold() {
     }
     assert!(warm_solves >= 12, "only {warm_solves} solves stayed warm");
     assert!(warm_iterations > 0);
+}
+
+/// Folds everything a solve reports into `h`: status, objective,
+/// iterations, whether it stayed warm, the fallback cause, `x` and the
+/// duals.
+fn hash_solve(h: &mut Fnv1a, ws: &WarmSolve) {
+    let sol = &ws.solution;
+    for word in [
+        sol.status as u64,
+        sol.objective.to_bits(),
+        sol.iterations as u64,
+        u64::from(ws.warm_used),
+        ws.fallback.map_or(0, |e| e as u64 + 1),
+    ] {
+        h.write_u64(word);
+    }
+    for &v in sol.x.iter().chain(&sol.duals) {
+        h.write_f64(v);
+    }
+}
+
+/// The exact bits of the node LPs of one Table II smoke encoding: the
+/// I4×4 predictor trained as the smoke run trains it, encoded as the
+/// search encodes it, under the search's first objective. Its root is
+/// solved cold and with a snapshot; every binary is pinned either way,
+/// solved cold, warm from the root's basis and warm from the previous
+/// child's; then a dive pins the binaries in turn, each child warm from
+/// its parent. A rewrite of the LP path must reproduce every bit.
+#[test]
+fn table2_smoke_child_lp_bits_are_pinned() {
+    let config = Table2Config::smoke_test();
+    let mut raw = generate_dataset(&config.scenario).unwrap();
+    highway_validator(1.0).sanitize(&mut raw);
+    let data = Dataset::from_samples(raw);
+    let layout = OutputLayout::new(config.mixture_components);
+    let mut net = Network::relu_mlp(
+        FEATURE_COUNT,
+        &[config.widths[0]; 4],
+        layout.output_len(),
+        config.seed,
+    )
+    .unwrap();
+    let train = TrainConfig {
+        epochs: config.epochs,
+        batch_size: 64,
+        seed: config.seed,
+        weight_decay: 5e-4,
+        ..TrainConfig::default()
+    };
+    let loss = GmmNll::new(config.mixture_components);
+    Trainer::new(train).train(&mut net, &data, &loss).unwrap();
+    let method = BoundMethod::AlphaOptimized {
+        iters: DEFAULT_ALPHA_ITERS,
+    };
+    let enc = encode(&net, &left_vehicle_spec(), method).unwrap();
+    let objective = &lateral_mean_objectives(layout)[0];
+    let mut lp = enc.milp.relaxation().clone();
+    let terms: Vec<_> = objective
+        .terms
+        .iter()
+        .map(|&(o, c)| (enc.output_vars[o], c))
+        .collect();
+    lp.set_objective(&terms);
+    let root_bounds: Vec<(f64, f64)> = (0..lp.num_vars())
+        .map(|i| lp.bounds(VarId::from_index(i)))
+        .collect();
+    let binaries: Vec<VarId> = enc.relu_binaries.iter().flatten().copied().collect();
+    assert_eq!(binaries.len(), 16, "not the smoke I4x4 encoding");
+
+    let simplex = Simplex::new();
+    let cold =
+        |bounds: &[(f64, f64)]| WarmSolve::from(simplex.solve_with_bounds(&lp, bounds).unwrap());
+    let warm = |bounds: &[(f64, f64)], basis: Option<&WarmStart>| {
+        simplex.solve_warm(&lp, bounds, basis).unwrap()
+    };
+    let mut h = Fnv1a::new();
+    hash_solve(&mut h, &cold(&root_bounds));
+    let root = warm(&root_bounds, None);
+    hash_solve(&mut h, &root);
+    let root_basis = root.warm.expect("optimal root has a snapshot");
+    let mut last = root_basis.clone();
+    for &b in &binaries {
+        for phase in [0.0, 1.0] {
+            let mut child = root_bounds.clone();
+            child[b.index()] = (phase, phase);
+            hash_solve(&mut h, &cold(&child));
+            hash_solve(&mut h, &warm(&child, Some(&root_basis)));
+            let ws = warm(&child, Some(&last));
+            hash_solve(&mut h, &ws);
+            if let Some(next) = ws.warm {
+                last = next;
+            }
+        }
+    }
+    let (mut bounds, mut parent, mut depth) = (root_bounds, root_basis, 0);
+    'dive: for &b in &binaries {
+        for phase in [1.0, 0.0] {
+            let mut child = bounds.clone();
+            child[b.index()] = (phase, phase);
+            let ws = warm(&child, Some(&parent));
+            hash_solve(&mut h, &ws);
+            if let Some(next) = ws.warm {
+                (bounds, parent, depth) = (child, next, depth + 1);
+                continue 'dive;
+            }
+        }
+        break;
+    }
+    assert!(depth >= 8, "the dive stopped at depth {depth}");
+    let h = h.finish();
+    assert_eq!(h, 0x5e9f_b569_547a_53d2, "node LP answers moved: {h:#018x}");
 }
