@@ -37,8 +37,9 @@ fn bench_presolve_effect_on_milp(c: &mut Criterion) {
         ("interval", BoundMethod::Interval),
         ("symbolic", BoundMethod::Symbolic),
     ] {
-        // Encode and solve directly: the point is the effect of presolve
-        // tightness on the paper's own big-M MILP.
+        // Encode and solve directly with the cold reference
+        // branch-and-bound: the point is the effect of presolve tightness
+        // on the paper's own big-M MILP.
         group.bench_function(name, |b| {
             b.iter(|| {
                 for obj in &objectives {

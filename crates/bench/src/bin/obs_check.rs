@@ -86,7 +86,7 @@ fn validate(path: &str) -> Result<(), String> {
 /// One timed serial smoke run; returns the result and its wall seconds.
 /// With `ckpt_dir` the run snapshots to that directory at the default
 /// cadence (no resume — this is the clean-run cost of being killable).
-fn timed_smoke_with(ckpt_dir: Option<&Path>) -> Result<(Table2Result, f64), String> {
+fn timed_smoke(ckpt_dir: Option<&Path>) -> Result<(Table2Result, f64), String> {
     let mut config = Table2Config::smoke_test();
     config.run.threads = 1;
     if let Some(dir) = ckpt_dir {
@@ -95,10 +95,6 @@ fn timed_smoke_with(ckpt_dir: Option<&Path>) -> Result<(Table2Result, f64), Stri
     let start = Instant::now();
     let result = run_table2(&config).map_err(|e| format!("smoke run failed: {e}"))?;
     Ok((result, start.elapsed().as_secs_f64()))
-}
-
-fn timed_smoke() -> Result<(Table2Result, f64), String> {
-    timed_smoke_with(None)
 }
 
 /// Bit-exact verdict comparison between two smoke results.
@@ -120,37 +116,69 @@ fn assert_identical(off: &Table2Result, on: &Table2Result) -> Result<(), String>
     Ok(())
 }
 
-fn overhead() -> Result<(), String> {
-    // Off first, so the on-runs cannot leak recording into the baseline.
-    certnn_obs::set_enabled(false);
-    let (off_result, off_a) = timed_smoke()?;
-    let (_, off_b) = timed_smoke()?;
-    let off_best = off_a.min(off_b);
+/// The protocol every overhead gate shares: two runs with `feature` off,
+/// then two with it on (off first, so the on-runs cannot leak into the
+/// baseline), the best of each pair timed against each other. The first
+/// off- and on-run results must pass `identical`, and the best on-run may
+/// take at most `relative` × the best off-run + [`ABSOLUTE_SLACK_SECS`].
+/// `run(on, i)` performs run `i` (0 or 1) of its side and returns its
+/// result and wall seconds.
+fn ab_gate<R>(
+    feature: &str,
+    relative: f64,
+    mut run: impl FnMut(bool, usize) -> Result<(R, f64), String>,
+    identical: impl Fn(&R, &R) -> Result<(), String>,
+) -> Result<(), String> {
+    let (off_result, off_a) = run(false, 0)?;
+    let (_, off_b) = run(false, 1)?;
+    let (on_result, on_a) = run(true, 0)?;
+    let (_, on_b) = run(true, 1)?;
+    let (off_best, on_best) = (off_a.min(off_b), on_a.min(on_b));
 
-    certnn_obs::set_enabled(true);
-    let (on_result, on_a) = timed_smoke()?;
-    certnn_obs::reset();
-    let (_, on_b) = timed_smoke()?;
-    let on_best = on_a.min(on_b);
-    certnn_obs::set_enabled(false);
-    certnn_obs::reset();
-
-    assert_identical(&off_result, &on_result)?;
+    identical(&off_result, &on_result)?;
     println!(
-        "smoke wall best-of-2: obs-off {off_best:.3}s, obs-on {on_best:.3}s \
-         ({:+.1}%)",
+        "{feature} best-of-2: off {off_best:.3}s, on {on_best:.3}s ({:+.1}%)",
         100.0 * (on_best - off_best) / off_best
     );
-    let limit = off_best * MAX_RELATIVE_OVERHEAD + ABSOLUTE_SLACK_SECS;
+    let limit = off_best * relative + ABSOLUTE_SLACK_SECS;
     if on_best > limit {
         return Err(format!(
-            "observability overhead too high: {on_best:.3}s > \
-             {MAX_RELATIVE_OVERHEAD} x {off_best:.3}s + {ABSOLUTE_SLACK_SECS}s"
+            "{feature} overhead too high: {on_best:.3}s > \
+             {relative} x {off_best:.3}s + {ABSOLUTE_SLACK_SECS}s"
         ));
     }
-    println!("overhead gate ok: {on_best:.3}s <= {limit:.3}s");
-    println!("verdicts bit-identical with tracing on and off");
+    println!("{feature} overhead gate ok: {on_best:.3}s <= {limit:.3}s");
+    println!("verdicts bit-identical with {feature} on and off");
     Ok(())
+}
+
+/// [`ab_gate`] with observability switched: off for the off-runs, on for
+/// the on-runs with the registry cleared before the second, and off and
+/// cleared again afterwards.
+fn obs_gate<R>(
+    feature: &str,
+    mut run: impl FnMut(bool, usize) -> Result<(R, f64), String>,
+    identical: impl Fn(&R, &R) -> Result<(), String>,
+) -> Result<(), String> {
+    let verdict = ab_gate(
+        feature,
+        MAX_RELATIVE_OVERHEAD,
+        |on, i| {
+            certnn_obs::set_enabled(on);
+            if on && i == 1 {
+                certnn_obs::reset();
+            }
+            run(on, i)
+        },
+        identical,
+    );
+    certnn_obs::set_enabled(false);
+    certnn_obs::reset();
+    verdict
+}
+
+fn overhead() -> Result<(), String> {
+    obs_gate("observability", |_, _| timed_smoke(None), assert_identical)
 }
 
 fn ckpt_overhead() -> Result<(), String> {
@@ -158,38 +186,22 @@ fn ckpt_overhead() -> Result<(), String> {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
 
-    let (off_result, off_a) = timed_smoke_with(None)?;
-    let (_, off_b) = timed_smoke_with(None)?;
-    let off_best = off_a.min(off_b);
-
-    let (on_result, on_a) = timed_smoke_with(Some(&dir))?;
-    let (_, on_b) = timed_smoke_with(Some(&dir))?;
-    let on_best = on_a.min(on_b);
-
-    assert_identical(&off_result, &on_result)?;
+    let verdict = ab_gate(
+        "checkpointing",
+        MAX_CKPT_OVERHEAD,
+        |on, _| timed_smoke(on.then_some(dir.as_path())),
+        assert_identical,
+    );
     let leftover = std::fs::read_dir(&dir)
         .map(|rd| rd.count())
         .unwrap_or(0);
     let _ = std::fs::remove_dir_all(&dir);
+    verdict?;
     if leftover != 0 {
         return Err(format!(
             "clean checkpointed run left {leftover} snapshot file(s) behind"
         ));
     }
-    println!(
-        "smoke wall best-of-2: ckpt-off {off_best:.3}s, ckpt-on {on_best:.3}s \
-         ({:+.1}%)",
-        100.0 * (on_best - off_best) / off_best
-    );
-    let limit = off_best * MAX_CKPT_OVERHEAD + ABSOLUTE_SLACK_SECS;
-    if on_best > limit {
-        return Err(format!(
-            "checkpointing overhead too high: {on_best:.3}s > \
-             {MAX_CKPT_OVERHEAD} x {off_best:.3}s + {ABSOLUTE_SLACK_SECS}s"
-        ));
-    }
-    println!("checkpoint overhead gate ok: {on_best:.3}s <= {limit:.3}s");
-    println!("verdicts bit-identical with checkpointing on and off");
     Ok(())
 }
 
@@ -302,36 +314,11 @@ fn assert_fleet_identical(off: &FleetResult, on: &FleetResult) -> Result<(), Str
 }
 
 fn serve_overhead() -> Result<(), String> {
-    // Off first, so the on-runs cannot leak recording into the baseline.
-    certnn_obs::set_enabled(false);
-    let (off_result, off_a) = timed_serve_fleet("off", 0)?;
-    let (_, off_b) = timed_serve_fleet("off", 1)?;
-    let off_best = off_a.min(off_b);
-
-    certnn_obs::set_enabled(true);
-    let (on_result, on_a) = timed_serve_fleet("on", 0)?;
-    certnn_obs::reset();
-    let (_, on_b) = timed_serve_fleet("on", 1)?;
-    let on_best = on_a.min(on_b);
-    certnn_obs::set_enabled(false);
-    certnn_obs::reset();
-
-    assert_fleet_identical(&off_result, &on_result)?;
-    println!(
-        "serve fleet wall best-of-2: obs-off {off_best:.3}s, obs-on {on_best:.3}s \
-         ({:+.1}%)",
-        100.0 * (on_best - off_best) / off_best
-    );
-    let limit = off_best * MAX_RELATIVE_OVERHEAD + ABSOLUTE_SLACK_SECS;
-    if on_best > limit {
-        return Err(format!(
-            "serve observability overhead too high: {on_best:.3}s > \
-             {MAX_RELATIVE_OVERHEAD} x {off_best:.3}s + {ABSOLUTE_SLACK_SECS}s"
-        ));
-    }
-    println!("serve overhead gate ok: {on_best:.3}s <= {limit:.3}s");
-    println!("wire-path verdicts bit-identical with tracing on and off");
-    Ok(())
+    obs_gate(
+        "serve observability",
+        |on, i| timed_serve_fleet(if on { "on" } else { "off" }, i),
+        assert_fleet_identical,
+    )
 }
 
 fn main() -> ExitCode {

@@ -9,10 +9,13 @@
 //! * [`MilpModel`] — continuous, binary and general-integer variables,
 //!   sparse rows, single linear objective.
 //! * [`BranchAndBound`] — best-bound-first search with most-fractional
-//!   branching, warm-started LP re-solves via [`certnn_lp::Simplex`] and
-//!   absolute/relative gap, node and time termination criteria. The verifier itself runs
-//!   the same branching as one node rule of its own search
-//!   (`certnn_verify::bab`).
+//!   branching that solves every node's LP relaxation cold with
+//!   [`certnn_lp::Simplex`], and stops on an absolute/relative gap or a
+//!   node limit. It has no warm starts, no fault recovery and no deadline:
+//!   a node LP that fails ends the solve with its [`LpError`]. The
+//!   verifier runs the same branching, warm and in parallel, as one node
+//!   rule of its own search (`certnn_verify::bab`), and its differential
+//!   tests check that search against this plain one.
 //!
 //! # Example
 //!
@@ -20,7 +23,7 @@
 //! use certnn_milp::{BranchAndBound, MilpModel, MilpStatus};
 //! use certnn_lp::{RowKind, Sense};
 //!
-//! # fn main() -> Result<(), certnn_milp::MilpError> {
+//! # fn main() -> Result<(), certnn_milp::LpError> {
 //! // Knapsack: max 8a + 11b + 6c, 5a + 7b + 4c <= 14, binaries.
 //! let mut m = MilpModel::new(Sense::Maximize);
 //! let a = m.add_binary("a");
@@ -43,54 +46,6 @@ mod model;
 mod solver;
 
 pub use model::{MilpModel, VarKind};
-pub use solver::{
-    BranchAndBound, MilpOptions, MilpSolution, MilpStats, MilpStatus, WarmTracker, INT_TOL,
-};
+pub use solver::{BranchAndBound, MilpOptions, MilpSolution, MilpStatus, INT_TOL};
 
-pub use certnn_lp::{
-    Deadline, Degradation, LpError, RowId, RowKind, Sense, SolveError, VarId, WarmStart,
-};
-
-use std::error::Error;
-use std::fmt;
-
-/// Error raised while building or solving a MILP.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MilpError {
-    /// Underlying LP layer rejected the model.
-    Lp(LpError),
-}
-
-impl fmt::Display for MilpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MilpError::Lp(e) => write!(f, "lp error: {e}"),
-        }
-    }
-}
-
-impl Error for MilpError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            MilpError::Lp(e) => Some(e),
-        }
-    }
-}
-
-impl From<LpError> for MilpError {
-    fn from(e: LpError) -> Self {
-        MilpError::Lp(e)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn error_display_and_source() {
-        let e = MilpError::from(LpError::NotANumber);
-        assert!(e.to_string().contains("lp error"));
-        assert!(std::error::Error::source(&e).is_some());
-    }
-}
+pub use certnn_lp::{LpError, RowId, RowKind, Sense, VarId};

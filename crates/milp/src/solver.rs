@@ -1,34 +1,9 @@
-//! Best-bound-first branch-and-bound.
+//! Best-bound-first branch-and-bound, cold at every node.
 
 use crate::model::MilpModel;
-use crate::MilpError;
-use certnn_lp::{
-    Deadline, Degradation, LpError, LpModel, LpStatus, Sense, Simplex, VarId, WarmSolve,
-    WarmStart,
-};
+use certnn_lp::{LpError, LpStatus, Sense, Simplex, VarId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Cached `milp.*` observability counters (node lifecycle). Hot-loop
-/// totals are kept in plain locals and flushed in one bulk add per solve.
-struct MilpMetrics {
-    solves: certnn_obs::Counter,
-    nodes: certnn_obs::Counter,
-    incumbent_updates: certnn_obs::Counter,
-    dropped_subtrees: certnn_obs::Counter,
-}
-
-fn milp_metrics() -> &'static MilpMetrics {
-    static M: OnceLock<MilpMetrics> = OnceLock::new();
-    M.get_or_init(|| MilpMetrics {
-        solves: certnn_obs::counter("milp.solves"),
-        nodes: certnn_obs::counter("milp.nodes"),
-        incumbent_updates: certnn_obs::counter("milp.incumbent_updates"),
-        dropped_subtrees: certnn_obs::counter("milp.dropped_subtrees"),
-    })
-}
 
 /// Relative optimality gap (fraction of the incumbent) at which the
 /// search stops, next to [`MilpOptions::abs_gap`].
@@ -38,30 +13,20 @@ const REL_GAP: f64 = 1e-6;
 /// integer counts as integral.
 pub const INT_TOL: f64 = 1e-6;
 
-/// Tuning knobs and termination criteria for [`BranchAndBound`].
+/// Termination criteria for [`BranchAndBound`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilpOptions {
-    /// Wall-clock limit; `None` means unlimited. Expiry is observed at
-    /// pivot granularity and yields [`MilpStatus::TimeLimit`] with a sound
-    /// `best_bound` tagged [`Degradation::TimedOut`].
-    pub time_limit: Option<Duration>,
     /// Explored-node limit; `None` means unlimited.
     pub node_limit: Option<usize>,
     /// Absolute optimality gap at which the search stops.
     pub abs_gap: f64,
-    /// Warm-start each node's LP from its parent's optimal basis (dual
-    /// simplex re-solve), falling back to a cold solve on singular or
-    /// stale bases. Identical verdicts, fewer pivots.
-    pub warm_start: bool,
 }
 
 impl Default for MilpOptions {
     fn default() -> Self {
         Self {
-            time_limit: None,
             node_limit: None,
             abs_gap: 1e-6,
-            warm_start: true,
         }
     }
 }
@@ -85,10 +50,11 @@ pub enum MilpStatus {
     /// Stopped because the global bound crossed the search's bound
     /// cutoff (the neuron branch-and-bound's decision fast path).
     BoundCutoff,
-    /// The search could not run to a verdict: subtrees were dropped on
-    /// unrecoverable numeric failures (or every worker died, in the
-    /// parallel neuron search) and their bounds were folded conservatively
-    /// instead of explored. `best_bound` is still sound.
+    /// The search could not run to a verdict: a node LP stopped at the
+    /// simplex's iteration cap, or (in the verifier's parallel search)
+    /// subtrees were dropped on unrecoverable numeric failures or every
+    /// worker died, and their bounds were folded conservatively instead
+    /// of explored. `best_bound` is still sound.
     Aborted,
 }
 
@@ -108,63 +74,6 @@ impl std::fmt::Display for MilpStatus {
     }
 }
 
-/// Warm-start accounting for one branch-and-bound run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MilpStats {
-    /// LP solves that started from a parent basis and stayed on the
-    /// incremental dual-simplex path.
-    pub warm_solves: usize,
-    /// LP solves that ran the cold two-phase algorithm (root solves,
-    /// warm-start disabled, or fallbacks after a stale/singular basis).
-    pub cold_solves: usize,
-    /// Estimated pivots avoided by warm-starting: for every warm solve,
-    /// the running mean pivot count of the cold solves in the same run
-    /// minus the warm solve's own pivots (clamped at zero). An estimate —
-    /// the true counterfactual would require re-solving every node cold.
-    pub pivots_saved: usize,
-}
-
-/// Running warm/cold accounting that produces a [`MilpStats`].
-///
-/// `pivots_saved` uses the running mean of cold-solve pivot counts as the
-/// counterfactual cost of each warm solve; the root of every tree is cold,
-/// so the mean is always defined by the time a warm solve happens.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WarmTracker {
-    cold_pivots: usize,
-    warm_pivots: usize,
-    cold_solves: usize,
-    warm_solves: usize,
-    saved: f64,
-}
-
-impl WarmTracker {
-    /// Records a cold solve that took `pivots` simplex iterations.
-    pub fn record_cold(&mut self, pivots: usize) {
-        self.cold_solves += 1;
-        self.cold_pivots += pivots;
-    }
-
-    /// Records a warm solve that took `pivots` simplex iterations.
-    pub fn record_warm(&mut self, pivots: usize) {
-        self.warm_solves += 1;
-        self.warm_pivots += pivots;
-        if self.cold_solves > 0 {
-            let avg = self.cold_pivots as f64 / self.cold_solves as f64;
-            self.saved += (avg - pivots as f64).max(0.0);
-        }
-    }
-
-    /// Snapshot of the accumulated statistics.
-    pub fn stats(&self) -> MilpStats {
-        MilpStats {
-            warm_solves: self.warm_solves,
-            cold_solves: self.cold_solves,
-            pivots_saved: self.saved.round() as usize,
-        }
-    }
-}
-
 /// Result of a branch-and-bound run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MilpSolution {
@@ -179,20 +88,13 @@ pub struct MilpSolution {
     pub best_bound: f64,
     /// Number of branch-and-bound nodes whose LP relaxation was solved.
     pub nodes: usize,
-    /// Total simplex pivots across all LP solves.
-    pub lp_iterations: usize,
-    /// Warm-start accounting (all-cold when warm-starting is disabled).
-    pub stats: MilpStats,
-    /// Wall-clock time of the solve.
-    pub elapsed: Duration,
-    /// Worst degradation encountered anywhere in the search. `Exact`
-    /// unless a numeric fault forced a cold or interval fallback, or a
-    /// deadline folded unexplored subtrees into the bound.
-    pub degradation: Degradation,
 }
 
 /// A best-bound-first branch-and-bound MILP solver with most-fractional
-/// branching.
+/// branching. Every node's LP relaxation is solved cold by
+/// [`Simplex::solve_with_bounds`]: the solver shares no warm-start or
+/// fault-recovery code with the verifier's search, which makes it an
+/// independent reference for it.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone, Default)]
@@ -205,9 +107,6 @@ struct Node {
     bounds: Vec<(f64, f64)>,
     score_bound: f64,
     depth: usize,
-    /// Optimal basis of the nearest solved ancestor, shared across
-    /// siblings; `None` at the root or when no snapshot was available.
-    warm: Option<Arc<WarmStart>>,
 }
 
 /// Max-heap ordering on the score bound (ties: deeper first, to dive).
@@ -244,31 +143,28 @@ impl BranchAndBound {
 
     /// Solves the model.
     ///
+    /// A node LP that stops at the simplex's iteration cap ends the search
+    /// [`MilpStatus::Aborted`] at that node's bound, which best-first order
+    /// makes a sound bound on the optimum.
+    ///
     /// # Errors
     ///
-    /// Returns [`MilpError`] if the model is malformed (NaN data, inverted
-    /// bounds).
-    pub fn solve(&self, model: &MilpModel) -> Result<MilpSolution, MilpError> {
-        let start = Instant::now();
-        let _obs_span = certnn_obs::span("milp.solve");
-        let mut obs_incumbents = 0u64;
-        let mut obs_dropped = 0u64;
+    /// Returns the [`LpError`] of the first node LP that fails: a malformed
+    /// model (NaN data, inverted bounds) or a numeric failure during a
+    /// solve. A reference does not cover a fault with a weaker bound.
+    pub fn solve(&self, model: &MilpModel) -> Result<MilpSolution, LpError> {
         let sense_sign = match model.sense() {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
         let int_vars: Vec<VarId> = model.integer_vars();
-        // The simplex polls the time limit between pivot batches, so even
-        // a single huge LP cannot overshoot it by more than one batch.
-        let deadline = Deadline::none().tighten(self.opts.time_limit);
-        let simplex = Simplex::new().with_deadline(deadline.clone());
+        let simplex = Simplex::new();
         let lp = model.relaxation();
 
         let root_bounds: Vec<(f64, f64)> =
             (0..model.num_vars()).map(|i| model.bounds(VarId::from_index(i))).collect();
 
         let mut nodes_explored = 0usize;
-        let mut lp_iterations = 0usize;
         let mut incumbent: Option<(Vec<f64>, f64)> = None; // (x, score)
         let best_known =
             |inc: &Option<(Vec<f64>, f64)>| -> Option<f64> { inc.as_ref().map(|(_, s)| *s) };
@@ -277,17 +173,9 @@ impl BranchAndBound {
             bounds: root_bounds,
             score_bound: f64::INFINITY,
             depth: 0,
-            warm: None,
         });
-        let mut tracker = WarmTracker::default();
         let mut global_bound = f64::INFINITY; // score space
         let mut status = MilpStatus::Optimal;
-        let mut degradation = Degradation::Exact;
-        // Best (score-space) bound over every subtree that was *dropped*
-        // rather than explored — pivot-limited nodes and nodes whose LP
-        // failed numerically even after a cold retry. Folded into the
-        // reported bound at the end so it stays sound.
-        let mut dropped_bound = f64::NEG_INFINITY;
 
         'search: while let Some(node) = heap.pop() {
             // Best-first: the popped node carries the best remaining bound.
@@ -301,13 +189,6 @@ impl BranchAndBound {
                     break 'search;
                 }
             }
-            if deadline.expired() {
-                // Best-first order makes the popped node's bound dominate
-                // everything left on the heap, so breaking here is sound.
-                status = MilpStatus::TimeLimit;
-                degradation = degradation.merge(Degradation::TimedOut);
-                break 'search;
-            }
             if let Some(limit) = self.opts.node_limit {
                 if nodes_explored >= limit {
                     status = MilpStatus::NodeLimit;
@@ -315,56 +196,8 @@ impl BranchAndBound {
                 }
             }
 
-            // Warm-start from the nearest solved ancestor's basis when
-            // enabled and available; `solve_warm` itself falls back to a
-            // cold run on a stale or singular snapshot.
-            let attempt = if self.opts.warm_start {
-                simplex.solve_warm(lp, &node.bounds, node.warm.as_deref())
-            } else {
-                simplex
-                    .solve_with_bounds(lp, &node.bounds)
-                    .map(WarmSolve::from)
-            };
-            // Retry ladder: warm → cold happens inside `solve_warm` (the
-            // cause, if any, lands in `ws.fallback`); a typed solve error
-            // escaping that gets one cold retry from scratch; a second
-            // failure drops the node and folds a sound interval bound on
-            // its subtree into `dropped_bound` instead of crashing the
-            // whole search.
-            let ws = match attempt {
-                Ok(ws) => {
-                    if ws.fallback.is_some() {
-                        degradation = degradation.merge(Degradation::ColdFallback);
-                    }
-                    ws
-                }
-                Err(LpError::Solve(_)) => match simplex.solve_warm(lp, &node.bounds, None) {
-                    Ok(ws) => {
-                        degradation = degradation.merge(Degradation::ColdFallback);
-                        ws
-                    }
-                    Err(LpError::Solve(_)) => {
-                        let fb = interval_score_bound(lp, &node.bounds, sense_sign)
-                            .min(node.score_bound);
-                        dropped_bound = dropped_bound.max(fb);
-                        degradation = degradation.merge(Degradation::IntervalOnly);
-                        obs_dropped += 1;
-                        nodes_explored += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
-                },
-                Err(e) => return Err(e.into()),
-            };
-            if ws.warm_used {
-                tracker.record_warm(ws.solution.iterations);
-            } else {
-                tracker.record_cold(ws.solution.iterations);
-            }
-            let snapshot = ws.warm.map(Arc::new);
-            let sol = ws.solution;
+            let sol = simplex.solve_with_bounds(lp, &node.bounds)?;
             nodes_explored += 1;
-            lp_iterations += sol.iterations;
             match sol.status {
                 LpStatus::Infeasible => continue,
                 LpStatus::Unbounded => {
@@ -375,22 +208,11 @@ impl BranchAndBound {
                     }
                     continue;
                 }
-                LpStatus::IterationLimit => {
-                    // Unresolved node: its subtree optimum is still capped
-                    // by the parent bound, so fold that in rather than
-                    // silently forgetting the subtree.
-                    dropped_bound = dropped_bound.max(node.score_bound);
-                    degradation = degradation.merge(Degradation::IntervalOnly);
-                    obs_dropped += 1;
-                    continue;
-                }
-                LpStatus::Deadline => {
-                    // Pivot-level expiry inside the LP; the popped node's
-                    // bound dominates the heap, so stopping here is sound.
-                    dropped_bound = dropped_bound.max(node.score_bound);
-                    degradation = degradation.merge(Degradation::TimedOut);
-                    obs_dropped += 1;
-                    status = MilpStatus::TimeLimit;
+                // The solver carries no deadline, so only the iteration
+                // cap stops a node LP short; the popped node's bound still
+                // dominates the heap.
+                LpStatus::IterationLimit | LpStatus::Deadline => {
+                    status = MilpStatus::Aborted;
                     break 'search;
                 }
                 LpStatus::Optimal => {}
@@ -423,18 +245,14 @@ impl BranchAndBound {
             match branch {
                 None => {
                     // Integral: candidate incumbent.
-                    if update_incumbent(&mut incumbent, sol.x.clone(), node_score) {
-                        obs_incumbents += 1;
+                    if best_known(&incumbent).is_none_or(|s| node_score > s) {
+                        incumbent = Some((sol.x, node_score));
                     }
                 }
                 Some((v, val, _)) => {
                     let (lo, hi) = node.bounds[v.index()];
                     let down = val.floor();
                     let up = val.ceil();
-                    // Children inherit this node's basis; when no snapshot
-                    // exists (e.g. the LP needed artificials) the nearest
-                    // solved ancestor's basis is still better than nothing.
-                    let child_warm = snapshot.clone().or_else(|| node.warm.clone());
                     if down >= lo - INT_TOL {
                         let mut b = node.bounds.clone();
                         b[v.index()] = (lo, down.min(hi));
@@ -442,17 +260,15 @@ impl BranchAndBound {
                             bounds: b,
                             score_bound: node_score,
                             depth: node.depth + 1,
-                            warm: child_warm.clone(),
                         });
                     }
                     if up <= hi + INT_TOL {
-                        let mut b = node.bounds.clone();
+                        let mut b = node.bounds;
                         b[v.index()] = (up.max(lo), hi);
                         heap.push(Node {
                             bounds: b,
                             score_bound: node_score,
                             depth: node.depth + 1,
-                            warm: child_warm,
                         });
                     }
                 }
@@ -470,39 +286,6 @@ impl BranchAndBound {
             };
         }
 
-        // Fold dropped subtrees back into the verdict. If the folded bound
-        // re-opens a gap the status claimed was closed — or contradicts an
-        // Infeasible claim — the verdict honestly degrades to `Aborted`
-        // with the (still sound) folded bound.
-        if dropped_bound > f64::NEG_INFINITY {
-            match status {
-                MilpStatus::Infeasible => {
-                    // Dropped subtrees may contain feasible points.
-                    status = MilpStatus::Aborted;
-                    global_bound = global_bound.max(dropped_bound);
-                }
-                MilpStatus::Optimal if dropped_bound > global_bound => {
-                    global_bound = dropped_bound;
-                    let closed = best_known(&incumbent).is_some_and(|inc| {
-                        global_bound <= inc + self.opts.abs_gap
-                            || global_bound <= inc + REL_GAP * inc.abs()
-                    });
-                    if !closed {
-                        status = MilpStatus::Aborted;
-                    }
-                }
-                _ => global_bound = global_bound.max(dropped_bound),
-            }
-        }
-
-        if certnn_obs::enabled() {
-            let m = milp_metrics();
-            m.solves.inc();
-            m.nodes.add(nodes_explored as u64);
-            m.incumbent_updates.add(obs_incumbents);
-            m.dropped_subtrees.add(obs_dropped);
-        }
-
         let (x, objective) = match incumbent {
             Some((x, score)) => (Some(x), Some(sense_sign * score)),
             None => (None, None),
@@ -513,37 +296,7 @@ impl BranchAndBound {
             objective,
             best_bound: sense_sign * global_bound,
             nodes: nodes_explored,
-            lp_iterations,
-            stats: tracker.stats(),
-            elapsed: start.elapsed(),
-            degradation,
         })
-    }
-}
-
-/// Sound interval (box) bound on the LP objective in score space: every
-/// variable sits at whichever of its bounds the sense-corrected objective
-/// coefficient prefers, rows ignored. Never tighter than the true LP bound,
-/// so it can stand in for a subtree whose LP solve failed.
-fn interval_score_bound(lp: &LpModel, bounds: &[(f64, f64)], sense_sign: f64) -> f64 {
-    bounds
-        .iter()
-        .enumerate()
-        .map(|(j, &(lo, hi))| {
-            let c = sense_sign * lp.objective_coeff(VarId::from_index(j));
-            (c * lo).max(c * hi)
-        })
-        .sum()
-}
-
-/// Replaces the incumbent if `score` improves it. Returns `true` on update.
-fn update_incumbent(inc: &mut Option<(Vec<f64>, f64)>, x: Vec<f64>, score: f64) -> bool {
-    match inc {
-        Some((_, s)) if score <= *s => false,
-        _ => {
-            *inc = Some((x, score));
-            true
-        }
     }
 }
 
@@ -679,78 +432,6 @@ mod tests {
         let sol = BranchAndBound::new().solve(&knapsack()).unwrap();
         // Maximisation: bound >= objective.
         assert!(sol.best_bound >= sol.objective.unwrap() - 1e-6);
-    }
-
-    #[test]
-    fn warm_and_cold_search_agree_on_knapsack() {
-        let m = knapsack();
-        let warm = BranchAndBound::new().solve(&m).unwrap();
-        let cold = BranchAndBound::with_options(MilpOptions {
-            warm_start: false,
-            ..MilpOptions::default()
-        })
-        .solve(&m)
-        .unwrap();
-        assert_eq!(warm.status, cold.status);
-        assert!((warm.objective.unwrap() - cold.objective.unwrap()).abs() < 1e-9);
-        assert!((warm.best_bound - cold.best_bound).abs() < 1e-6);
-        assert_eq!(cold.stats.warm_solves, 0, "disabled run must be all-cold");
-    }
-
-    #[test]
-    fn warm_solves_dominate_on_branching_heavy_instance() {
-        // Equal weights force deep branching: nearly every node after the
-        // root should ride its parent's basis.
-        let mut m = MilpModel::new(Sense::Maximize);
-        let vars: Vec<_> = (0..10).map(|i| m.add_binary(&format!("b{i}"))).collect();
-        m.set_objective(
-            &vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 5.0 + (i % 4) as f64 * 0.25))
-                .collect::<Vec<_>>(),
-        );
-        m.add_row(
-            "cap",
-            &vars.iter().map(|&v| (v, 2.0)).collect::<Vec<_>>(),
-            RowKind::Le,
-            9.0,
-        )
-        .unwrap();
-        let warm = BranchAndBound::new().solve(&m).unwrap();
-        let cold = BranchAndBound::with_options(MilpOptions {
-            warm_start: false,
-            ..MilpOptions::default()
-        })
-        .solve(&m)
-        .unwrap();
-        assert_eq!(warm.status, MilpStatus::Optimal);
-        assert!((warm.objective.unwrap() - cold.objective.unwrap()).abs() < 1e-9);
-        assert!(
-            warm.stats.warm_solves > warm.stats.cold_solves,
-            "warm {} vs cold {} solves",
-            warm.stats.warm_solves,
-            warm.stats.cold_solves
-        );
-        assert!(
-            warm.lp_iterations < cold.lp_iterations,
-            "warm tree spent {} pivots, cold tree {}",
-            warm.lp_iterations,
-            cold.lp_iterations
-        );
-    }
-
-    #[test]
-    fn tracker_estimates_savings_against_cold_average() {
-        let mut t = WarmTracker::default();
-        t.record_cold(100);
-        t.record_cold(50); // mean 75
-        t.record_warm(5); // saves 70
-        t.record_warm(200); // clamped to 0
-        let s = t.stats();
-        assert_eq!(s.cold_solves, 2);
-        assert_eq!(s.warm_solves, 2);
-        assert_eq!(s.pivots_saved, 70);
     }
 
     #[test]

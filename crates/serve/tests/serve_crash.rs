@@ -3,7 +3,8 @@
 //! lose no work it acknowledged. The restarted daemon re-queues the job
 //! from its crash-safe spool, resumes the search from the last
 //! checkpoint, and reaches a verdict bit-identical to an uninterrupted
-//! in-process run.
+//! in-process run. One leg kills the daemon inside a neuron-branching
+//! tree, the other inside a root hand-off's big-M tree.
 //!
 //! Spawns real daemon processes, so the test is `#[ignore]` by default;
 //! the `./ci --serve` gate runs it explicitly.
@@ -12,8 +13,9 @@ use certnn_linalg::Interval;
 use certnn_nn::network::Network;
 use certnn_serve::client::Client;
 use certnn_serve::protocol::{Disposition, JobRequest};
+use certnn_verify::bounds::PhaseAnalyzer;
 use certnn_verify::property::{InputSpec, LinearObjective};
-use certnn_verify::verifier::{Verifier, VerifierOptions};
+use certnn_verify::verifier::{Verifier, VerifierOptions, AUTO_HAND_OFF_UNSTABLE};
 use certnn_verify::Degradation;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -29,18 +31,24 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A query heavy enough (a few seconds, 11,617 search nodes) that a
-/// daemon checkpointing every node is reliably still solving when
-/// killed. Its root leaves all 24 ReLUs unstable, one more than
-/// `AUTO_HAND_OFF_UNSTABLE`, so `Engine::Auto` branches on neurons and
-/// the kill lands in a neuron-branching tree. A root hand-off would be
-/// snapshotted node by node as well: LP-rule nodes are frontier nodes.
 type Query = (Network, InputSpec, LinearObjective, VerifierOptions);
 
-fn slow_query() -> Query {
-    let net = Network::relu_mlp(32, &[12, 12], 1, 7).expect("net");
-    let spec = InputSpec::from_box(vec![Interval::new(-1.0, 1.0); 32]).expect("box");
+/// Maximises the output of `net` over the `[-1, 1]` box of its inputs.
+fn box_query(net: Network) -> Query {
+    let spec = InputSpec::from_box(vec![Interval::new(-1.0, 1.0); net.inputs()]).expect("box");
     (net, spec, LinearObjective::output(0), VerifierOptions::default())
+}
+
+/// Neurons the fixed-slope analysis of the query's root leaves unstable:
+/// at most `AUTO_HAND_OFF_UNSTABLE` and `Engine::Auto` hands the query
+/// to the LP rule at the root, more and it branches on neurons.
+fn root_unstable((net, spec, objective, _): &Query) -> usize {
+    PhaseAnalyzer::new(net, spec.bounds())
+        .expect("analyzer")
+        .analyze(&[], objective)
+        .expect("root analysis")
+        .unstable
+        .len()
 }
 
 /// Spawns the daemon binary over `dir` and resolves its bound address
@@ -91,10 +99,35 @@ fn wait_for_file_in(dir: &Path, what: &str) {
     }
 }
 
+/// A query heavy enough (a few seconds, 11,617 search nodes) that a
+/// daemon checkpointing every node is reliably still solving when
+/// killed. Its root leaves all 24 ReLUs unstable, one more than
+/// `AUTO_HAND_OFF_UNSTABLE`, so the kill lands in a neuron-branching
+/// tree.
 #[test]
 #[ignore = "spawns daemon processes; run via ./ci --serve"]
 fn killed_daemon_resumes_to_the_uninterrupted_verdict() {
-    let (net, spec, objective, opts) = slow_query();
+    let query = box_query(Network::relu_mlp(32, &[12, 12], 1, 7).expect("net"));
+    assert!(root_unstable(&query) > AUTO_HAND_OFF_UNSTABLE);
+    kill_and_resume("branch", query);
+}
+
+/// A query of about the same length (9,584 search nodes) whose root
+/// leaves 23 ReLUs unstable, so `Engine::Auto` hands it to the LP rule at
+/// the root and the kill lands in the big-M tree: LP-rule nodes are
+/// frontier nodes and are snapshotted node by node as well.
+#[test]
+#[ignore = "spawns daemon processes; run via ./ci --serve"]
+fn killed_daemon_resumes_a_root_hand_off_to_the_uninterrupted_verdict() {
+    let query = box_query(Network::relu_mlp(32, &[12, 11], 1, 3).expect("net"));
+    assert!(root_unstable(&query) <= AUTO_HAND_OFF_UNSTABLE);
+    kill_and_resume("hand_off", query);
+}
+
+/// Submits `query` to a daemon checkpointing every node, SIGKILLs the
+/// daemon at its first snapshot, restarts it over the same directory and
+/// checks the resumed verdict against an uninterrupted in-process run.
+fn kill_and_resume(tag: &str, (net, spec, objective, opts): Query) {
     let req = JobRequest::from_query(&net, &spec, &objective, &opts, None);
 
     // The uninterrupted reference, solved in-process.
@@ -103,7 +136,7 @@ fn killed_daemon_resumes_to_the_uninterrupted_verdict() {
         .expect("reference solve");
     let reference_best = reference.best_value.expect("reference witness value");
 
-    let dir = temp_dir("kill");
+    let dir = temp_dir(tag);
     let port_file = dir.join("port");
 
     // First daemon: accept the job, checkpoint furiously, die mid-solve.

@@ -69,7 +69,7 @@ use certnn_linalg::Vector;
 use certnn_lp::{
     Deadline, Degradation, LpError, LpStatus, Simplex, VarId, WarmSolve, WarmStart,
 };
-use certnn_milp::{MilpError, MilpModel, MilpStatus, WarmTracker, INT_TOL};
+use certnn_milp::{MilpModel, MilpStatus, INT_TOL};
 use certnn_nn::network::Network;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -90,8 +90,8 @@ struct BabMetrics {
     lp_skipped: certnn_obs::Counter,
     lp_forced: certnn_obs::Counter,
     frontier_depth: certnn_obs::Gauge,
-    /// Hand-offs to the LP rule and LP-rule nodes, under the names the
-    /// standalone MILP solver reports its solves and nodes.
+    /// Hand-offs to the LP rule and LP-rule nodes, counted as the solves
+    /// and nodes of the big-M MILP that rule searches.
     milp_solves: certnn_obs::Counter,
     milp_nodes: certnn_obs::Counter,
 }
@@ -384,8 +384,6 @@ struct CkptRuntime {
     seed: u64,
     /// Snapshot after this many newly processed nodes (≥ 1).
     every_nodes: usize,
-    /// Snapshot after this much wall time since the last one.
-    every: Duration,
     /// Start of *this* run, for the cumulative elapsed figure.
     run_start: Instant,
     /// Search wall time accumulated by previous runs of this query.
@@ -441,6 +439,36 @@ struct SearchState {
     ckpt: Option<CkptRuntime>,
 }
 
+/// Running estimate of the pivots one worker's warm starts saved: each
+/// warm solve saves the mean pivot count of the worker's cold solves so
+/// far minus its own pivots, clamped at zero, and a warm solve before any
+/// cold one saves nothing. An estimate: the true counterfactual would
+/// re-solve every node cold.
+#[derive(Default)]
+struct WarmTracker {
+    cold_pivots: usize,
+    cold_solves: usize,
+    saved: f64,
+}
+
+impl WarmTracker {
+    fn record_cold(&mut self, pivots: usize) {
+        self.cold_solves += 1;
+        self.cold_pivots += pivots;
+    }
+
+    fn record_warm(&mut self, pivots: usize) {
+        if self.cold_solves > 0 {
+            let avg = self.cold_pivots as f64 / self.cold_solves as f64;
+            self.saved += (avg - pivots as f64).max(0.0);
+        }
+    }
+
+    fn pivots_saved(&self) -> usize {
+        self.saved.round() as usize
+    }
+}
+
 /// Per-worker statistic accumulators, merged after the join.
 #[derive(Default)]
 struct WorkerCounters {
@@ -448,8 +476,7 @@ struct WorkerCounters {
     /// and pivots), the skip gate's counts and the worst degradation its
     /// solves met.
     stats: VerifyStats,
-    /// Running warm/cold split of the node LPs behind
-    /// `stats.pivots_saved`.
+    /// Running estimate behind `stats.pivots_saved`.
     tracker: WarmTracker,
     /// Hand-offs from the phase rule to the LP rule.
     milp_calls: usize,
@@ -709,7 +736,7 @@ impl SearchState {
         let last_write = Duration::from_nanos(rt.last_write_nanos.load(AtomicOrdering::Relaxed));
         let due_nodes =
             f.nodes.saturating_sub(f.last_ckpt_nodes) >= rt.every_nodes && since >= 2 * last_write;
-        let due_time = since >= rt.every;
+        let due_time = since >= checkpoint::DEFAULT_EVERY;
         if !due_nodes && !due_time {
             return None;
         }
@@ -1226,7 +1253,6 @@ pub fn bab_maximize_ckpt(
             query_hash,
             seed: policy.seed,
             every_nodes: policy.every_nodes.max(1),
-            every: policy.every,
             run_start: start,
             prior_elapsed_nanos,
             writing: AtomicBool::new(false),
@@ -1303,7 +1329,7 @@ pub fn bab_maximize_ckpt(
     let mut search_nanos = 0u64;
     for (wid, result) in worker_results.into_iter().enumerate() {
         let mut counters = result?;
-        counters.stats.pivots_saved = counters.tracker.stats().pivots_saved;
+        counters.stats.pivots_saved = counters.tracker.pivots_saved();
         milp_calls += counters.milp_calls;
         lp_rule_nodes += counters.lp_rule_nodes;
         search_nanos += counters.bound_nanos + counters.branch_nanos;
@@ -1891,7 +1917,7 @@ fn solve_node_lp(
             stats.degradation = stats.degradation.merge(Degradation::IntervalOnly);
             Ok(None)
         }
-        Err(e) => Err(VerifyError::from(MilpError::from(e))),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -2012,6 +2038,17 @@ mod tests {
 
     fn unit_spec(n: usize) -> InputSpec {
         InputSpec::from_box(vec![Interval::new(-1.0, 1.0); n]).unwrap()
+    }
+
+    #[test]
+    fn tracker_estimates_savings_against_cold_average() {
+        let mut t = WarmTracker::default();
+        t.record_warm(5); // no cold mean yet: saves nothing
+        t.record_cold(100);
+        t.record_cold(50); // mean 75
+        t.record_warm(5); // saves 70
+        t.record_warm(200); // clamped to 0
+        assert_eq!(t.pivots_saved(), 70);
     }
 
     #[test]

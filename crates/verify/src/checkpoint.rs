@@ -77,7 +77,8 @@ pub const FORMAT_VERSION: u32 = 4;
 /// Default [`CheckpointPolicy::every_nodes`].
 pub const DEFAULT_EVERY_NODES: usize = 64;
 
-/// Default [`CheckpointPolicy::every`].
+/// Wall time after which the search snapshots again, whatever the node
+/// cadence.
 pub const DEFAULT_EVERY: Duration = Duration::from_secs(5);
 
 const SEC_HEADER: u8 = 1;
@@ -166,14 +167,13 @@ pub fn query_fingerprint(net: &Network, spec: &InputSpec, objective: &LinearObje
 pub struct CheckpointPolicy {
     /// Directory holding the per-query checkpoint files.
     pub dir: PathBuf,
-    /// Snapshot after this many newly processed nodes (whichever of the
-    /// two cadences fires first). Clamped to at least 1. The search also
-    /// runs at least as long between two node-cadence snapshots as the
-    /// earlier one took to write, so a small value costs at most half
-    /// the wall time instead of a write per node.
+    /// Snapshot after this many newly processed nodes, or after
+    /// [`DEFAULT_EVERY`] of wall time, whichever comes first. Clamped to
+    /// at least 1. The search also runs at least as long between two
+    /// node-cadence snapshots as the earlier one took to write, so a
+    /// small value costs at most half the wall time instead of a write
+    /// per node.
     pub every_nodes: usize,
-    /// Snapshot after this much wall time since the last one.
-    pub every: Duration,
     /// Run seed folded into the per-query file key: two runs whose
     /// configuration seeds differ never share snapshots even if their
     /// weights collide.
@@ -189,7 +189,6 @@ impl CheckpointPolicy {
         Self {
             dir: dir.into(),
             every_nodes: DEFAULT_EVERY_NODES,
-            every: DEFAULT_EVERY,
             seed: 0,
             resume: false,
         }

@@ -151,8 +151,7 @@ pub fn encode(
             Relation::Eq => RowKind::Eq,
             Relation::Ge => RowKind::Ge,
         };
-        milp.add_row(&format!("scenario{ci}"), &coeffs, kind, c.rhs)
-            .map_err(certnn_milp::MilpError::from)?;
+        milp.add_row(&format!("scenario{ci}"), &coeffs, kind, c.rhs)?;
         stats.rows += 1;
     }
 
@@ -183,8 +182,7 @@ pub fn encode(
                     }
                 }
             }
-            milp.add_row(&format!("def_z{li}_{j}"), &row, RowKind::Eq, -b[j])
-                .map_err(certnn_milp::MilpError::from)?;
+            milp.add_row(&format!("def_z{li}_{j}"), &row, RowKind::Eq, -b[j])?;
             stats.rows += 1;
 
             match layer.activation() {
@@ -212,24 +210,21 @@ pub fn encode(
                             &[(y, 1.0), (z, -1.0)],
                             RowKind::Ge,
                             0.0,
-                        )
-                        .map_err(certnn_milp::MilpError::from)?;
+                        )?;
                         // y ≤ z − lo·(1 − a)  ⇔  y − z − lo·a ≤ −lo.
                         milp.add_row(
                             &format!("relu_le1_{li}_{j}"),
                             &[(y, 1.0), (z, -1.0), (a, -z_lo)],
                             RowKind::Le,
                             -z_lo,
-                        )
-                        .map_err(certnn_milp::MilpError::from)?;
+                        )?;
                         // y ≤ hi·a.
                         milp.add_row(
                             &format!("relu_le2_{li}_{j}"),
                             &[(y, 1.0), (a, -z_hi)],
                             RowKind::Le,
                             0.0,
-                        )
-                        .map_err(certnn_milp::MilpError::from)?;
+                        )?;
                         stats.rows += 3;
                         next.push(Act::Var(y));
                     }

@@ -84,7 +84,7 @@ pub use certnn_lp::{Deadline, Degradation};
 // daemon) can name it without depending on certnn-milp directly.
 pub use certnn_milp::MilpStatus;
 
-use certnn_milp::MilpError;
+use certnn_lp::LpError;
 use certnn_nn::NnError;
 use std::error::Error;
 use std::fmt;
@@ -94,8 +94,9 @@ use std::fmt;
 pub enum VerifyError {
     /// The network is malformed or does not match the specification.
     Network(NnError),
-    /// The underlying MILP solve failed structurally.
-    Milp(MilpError),
+    /// An LP solve failed structurally (malformed model or bounds), or
+    /// the encoder built a malformed row.
+    Lp(LpError),
     /// The input specification does not match the network's input width.
     SpecMismatch {
         /// Network input width.
@@ -123,7 +124,7 @@ impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyError::Network(e) => write!(f, "network error: {e}"),
-            VerifyError::Milp(e) => write!(f, "milp error: {e}"),
+            VerifyError::Lp(e) => write!(f, "lp error: {e}"),
             VerifyError::SpecMismatch {
                 network_inputs,
                 spec_inputs,
@@ -146,7 +147,7 @@ impl Error for VerifyError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             VerifyError::Network(e) => Some(e),
-            VerifyError::Milp(e) => Some(e),
+            VerifyError::Lp(e) => Some(e),
             _ => None,
         }
     }
@@ -158,9 +159,9 @@ impl From<NnError> for VerifyError {
     }
 }
 
-impl From<MilpError> for VerifyError {
-    fn from(e: MilpError) -> Self {
-        VerifyError::Milp(e)
+impl From<LpError> for VerifyError {
+    fn from(e: LpError) -> Self {
+        VerifyError::Lp(e)
     }
 }
 

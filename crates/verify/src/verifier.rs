@@ -6,7 +6,8 @@ use crate::checkpoint::CheckpointPolicy;
 use crate::property::{InputSpec, LinearObjective};
 use crate::VerifyError;
 use certnn_linalg::Vector;
-use certnn_milp::{Deadline, Degradation, MilpStatus};
+use certnn_lp::{Deadline, Degradation};
+use certnn_milp::MilpStatus;
 use certnn_nn::network::Network;
 use std::time::Duration;
 

@@ -8,9 +8,7 @@ use certnn_linalg::Interval;
 use certnn_lp::Deadline;
 use certnn_nn::network::Network;
 use certnn_verify::bab::{bab_maximize_ckpt, BabOptions, BabResult};
-use certnn_verify::checkpoint::{
-    decode_snapshot, encode_snapshot, CheckpointPolicy, DEFAULT_EVERY,
-};
+use certnn_verify::checkpoint::{decode_snapshot, encode_snapshot, CheckpointPolicy};
 use certnn_verify::property::{InputSpec, LinearConstraint, LinearObjective, Relation};
 use certnn_verify::Degradation;
 use std::path::{Path, PathBuf};
@@ -43,7 +41,6 @@ fn policy(dir: &Path) -> CheckpointPolicy {
     CheckpointPolicy {
         dir: dir.to_path_buf(),
         every_nodes: 1,
-        every: DEFAULT_EVERY,
         seed: 7,
         resume: true,
     }

@@ -107,7 +107,7 @@ fn quantized_network_verifies_close_to_original() {
 }
 
 /// The paper's method with nothing around it: the big-M encoding (α
-/// presolve at its default depth) solved by certnn-milp's
+/// presolve at its default depth) solved by certnn-milp's cold
 /// branch-and-bound at the query's gap. Returns the exact maximum as
 /// the forward-pass value of the optimal input.
 fn direct_big_m_max(
@@ -177,7 +177,7 @@ fn random_instance(
 }
 
 #[test]
-fn milp_and_small_box_auto_engines_match_the_direct_big_m_reference() {
+fn every_engine_matches_the_direct_big_m_reference() {
     let mut rng = StdRng::seed_from_u64(2017);
     let mut instances: Vec<(Network, InputSpec, LinearObjective)> = Vec::new();
     for constrained in [false, true] {
@@ -192,7 +192,7 @@ fn milp_and_small_box_auto_engines_match_the_direct_big_m_reference() {
     let abs_gap = VerifierOptions::default().abs_gap;
     for (i, (net, spec, obj)) in instances.iter().enumerate() {
         let exact = direct_big_m_max(net, spec, obj, abs_gap);
-        for engine in [Engine::Milp, Engine::Auto] {
+        for engine in [Engine::Milp, Engine::HybridBab, Engine::Auto] {
             let v = Verifier::with_options(VerifierOptions {
                 engine,
                 ..VerifierOptions::default()
