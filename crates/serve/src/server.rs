@@ -531,200 +531,252 @@ fn parse_query(req: &JobRequest) -> Option<Query> {
 // Worker pool
 // ---------------------------------------------------------------------------
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let (idx, key, query, request, deadline, cache_was_corrupt, queued_for, flight, ctx) = {
-            let mut table = shared.table.lock().unwrap_or_else(|e| e.into_inner());
-            let idx = loop {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Skip entries cancelled while still queued.
-                match table.queue.pop_front() {
-                    Some(idx) if matches!(table.entries[idx].state, State::Queued) => break idx,
-                    Some(_) => continue,
-                    None => {
-                        table = shared
-                            .cond
-                            .wait_timeout(table, IDLE_POLL)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            };
-            let entry = &mut table.entries[idx];
-            entry.state = State::Running;
-            table.running += 1;
-            shared.cond.notify_all();
-            let entry = &table.entries[idx];
-            (
-                idx,
-                entry.key,
-                Arc::clone(&entry.query),
-                Arc::clone(&entry.request),
-                entry.deadline.clone(),
-                entry.cache_was_corrupt,
-                entry.enqueued_at.elapsed(),
-                Arc::clone(&entry.flight),
-                entry.ctx,
-            )
-        };
-        let queue_wait_ns = queued_for.as_nanos().min(u128::from(u64::MAX)) as u64;
-        certnn_obs::histogram("serve.queue_wait_nanos").record(queue_wait_ns);
-        certnn_obs::windowed_histogram("serve.queue_wait_nanos").record(queue_wait_ns);
+/// A job a worker has claimed: what its body needs from the table entry.
+struct Claimed {
+    idx: usize,
+    key: u64,
+    query: Arc<Query>,
+    request: Arc<JobRequest>,
+    deadline: Deadline,
+    cache_was_corrupt: bool,
+    queued_for: Duration,
+    flight: Arc<FlightRecorder>,
+    ctx: Option<SpanContext>,
+}
 
-        // Each job key gets its own checkpoint directory: the query
-        // fingerprint excludes budget knobs, so two concurrent jobs
-        // differing only in budget would otherwise race on the same
-        // snapshot file (and resume across budgets, skewing stats).
-        let ckpt_dir = shared.ckpt_dir.join(format!("{key:016x}"));
-        let _ = std::fs::create_dir_all(&ckpt_dir);
-        let mut policy = CheckpointPolicy::new(&ckpt_dir);
-        if shared.checkpoint_every > 0 {
-            policy.every_nodes = shared.checkpoint_every;
-        }
-        policy.seed = key;
-        policy.resume = true;
-        let verifier = Verifier::with_options(query.options)
-            .with_deadline(deadline)
-            .with_checkpoints(policy);
-        // The solve runs under a serve-side span parented under the
-        // client's propagated span context (when the submission carried
-        // one); checkpoint and phase figures are obs-collector deltas
-        // around the solve — exact with one worker, approximate under
-        // concurrency (see `crate::flight`).
-        let span = certnn_obs::span_child_of("serve.solve", ctx.map(|c| c.span_id));
-        flight.record(
-            FlightKind::SpanOpen,
-            span.id().unwrap_or(0),
-            ctx.map_or(0, |c| c.span_id),
-            "serve.solve",
-        );
-        let ckpt_written0 = certnn_obs::counter("ckpt.written").get();
-        let ckpt_bytes0 = certnn_obs::counter("ckpt.bytes").get();
-        let phases0 = certnn_obs::phase_totals();
-        // Last-resort backstop: the solver already catches per-node
-        // panics, but any panic escaping here would kill this worker for
-        // good and strand the job Running with every waiter blocked.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            verifier.maximize(&query.net, &query.spec, &query.objective)
-        }))
-        .map_err(|panic| {
+/// Job key whose body panics right after its solve; `0` for none. Lets
+/// the unit tests reach the worker's backstop.
+#[cfg(test)]
+static PANIC_AFTER_SOLVE: AtomicU64 = AtomicU64::new(0);
+
+fn worker_loop(shared: &Shared) {
+    while let Some(job) = claim_job(shared) {
+        // Last-resort backstop around the whole job body: the solver
+        // already catches per-node panics, but a panic anywhere else —
+        // the flight bookkeeping, the certificate and spool writes, the
+        // state transition — would kill this worker for good and strand
+        // the job Running with every waiter blocked.
+        if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job(shared, &job);
+        })) {
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            format!("solver panicked: {msg}")
-        })
-        .and_then(|r| r.map_err(|e| e.to_string()));
-        // Saturating: the obs registry is process-global and can be reset
-        // mid-solve, and a panic here, outside the backstop, would kill
-        // this worker and strand the job Running.
-        let ckpt_written = certnn_obs::counter("ckpt.written")
-            .get()
-            .saturating_sub(ckpt_written0);
-        let ckpt_bytes = certnn_obs::counter("ckpt.bytes")
-            .get()
-            .saturating_sub(ckpt_bytes0);
-        if ckpt_written > 0 || ckpt_bytes > 0 {
-            flight.record(FlightKind::Checkpoint, ckpt_written, ckpt_bytes, "");
-        }
-        for after in certnn_obs::phase_totals() {
-            let before = phases0.iter().find(|p| p.phase == after.phase);
-            let d_self = after
-                .self_ns
-                .saturating_sub(before.map_or(0, |p| p.self_ns));
-            let d_count = after.count.saturating_sub(before.map_or(0, |p| p.count));
-            if d_self > 0 || d_count > 0 {
-                flight.record(FlightKind::Phase, d_self, d_count, after.phase.as_str());
-            }
-        }
-        flight.record(FlightKind::SpanClose, span.id().unwrap_or(0), 0, "");
-        drop(span);
-
-        let mut table = shared.table.lock().unwrap_or_else(|e| e.into_inner());
-        table.running -= 1;
-        let cancelled = table.entries[idx].cancel_requested;
-        let draining = shared.draining.load(Ordering::SeqCst);
-        match result {
-            Ok(mut r) => {
-                if cancelled && r.status == MilpStatus::Aborted {
-                    table.entries[idx].state = State::Cancelled;
-                    table.by_key.remove(&key);
-                    shared.store.remove_job(key);
-                    stat!(shared.stats, jobs_cancelled);
-                    flight.record(FlightKind::Cancelled, 0, 0, "");
-                } else if draining && r.status == MilpStatus::Aborted {
-                    // Interrupted by the drain: park it, keep the spool
-                    // and checkpoint for the next daemon.
-                    table.entries[idx].state = State::Drained;
-                    table.by_key.remove(&key);
-                    let resumable = std::fs::read_dir(&ckpt_dir)
-                        .map(|mut d| d.next().is_some())
-                        .unwrap_or(false);
-                    flight.record(FlightKind::Drained, u64::from(resumable), 0, "");
-                } else {
-                    if cache_was_corrupt {
-                        // Answered despite a damaged cache entry: same
-                        // ladder as a damaged checkpoint.
-                        r.stats.degradation =
-                            r.stats.degradation.merge(Degradation::CheckpointFallback);
-                    }
-                    let outcome = JobOutcome::from_max_result(key, &r);
-                    let wall_nanos = outcome.stats.elapsed_nanos();
-                    certnn_obs::histogram("serve.job_wall_nanos").record(wall_nanos);
-                    certnn_obs::windowed_histogram("serve.job_wall_nanos").record(wall_nanos);
-                    if outcome.status != MilpStatus::Aborted
-                        && shared.store.put_cert(&outcome, &request).is_err()
-                    {
-                        note_event(
-                            shared,
-                            "serve.cache_write_failed",
-                            vec![("key", format!("{key:016x}").into())],
-                        );
-                    }
-                    shared.store.remove_job(key);
-                    // The finished solve deleted its snapshot; reap the
-                    // per-key directory if nothing is left in it.
-                    let _ = std::fs::remove_dir(&ckpt_dir);
-                    if outcome.degradation != Degradation::Exact {
-                        flight.record(
-                            FlightKind::Degradation,
-                            u64::from(degradation_code(outcome.degradation)),
-                            0,
-                            format!("{:?}", outcome.degradation),
-                        );
-                    }
-                    flight.record(
-                        FlightKind::Finished,
-                        outcome.stats.nodes as u64,
-                        wall_nanos,
-                        "",
-                    );
-                    // Persist the audit trail next to the certificate so
-                    // it survives daemon restarts.
-                    let _ = shared.store.put_flight(&flight.snapshot());
-                    table.entries[idx].state = State::Done(Arc::new(outcome));
-                    stat!(shared.stats, jobs_completed);
-                }
-            }
-            Err(e) => {
-                table.entries[idx].state = State::Failed(e.clone());
-                table.by_key.remove(&key);
-                shared.store.remove_job(key);
-                stat!(shared.stats, jobs_failed);
-                flight.record(FlightKind::Failed, 0, 0, e.clone());
-                let _ = shared.store.put_flight(&flight.snapshot());
-                note_event(
-                    shared,
-                    "serve.job_failed",
-                    vec![("key", format!("{key:016x}").into()), ("error", e.into())],
-                );
-            }
+            fail_job(shared, &job, format!("job panicked: {msg}"));
         }
         shared.cond.notify_all();
     }
+}
+
+/// Waits for the next queued job and marks it `Running`; `None` once the
+/// daemon drains.
+fn claim_job(shared: &Shared) -> Option<Claimed> {
+    let mut table = shared.table.lock().unwrap_or_else(|e| e.into_inner());
+    let idx = loop {
+        if shared.draining.load(Ordering::SeqCst) {
+            return None;
+        }
+        // Skip entries cancelled while still queued.
+        match table.queue.pop_front() {
+            Some(idx) if matches!(table.entries[idx].state, State::Queued) => break idx,
+            Some(_) => continue,
+            None => {
+                table = shared
+                    .cond
+                    .wait_timeout(table, IDLE_POLL)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+        }
+    };
+    let entry = &mut table.entries[idx];
+    entry.state = State::Running;
+    table.running += 1;
+    shared.cond.notify_all();
+    let entry = &table.entries[idx];
+    Some(Claimed {
+        idx,
+        key: entry.key,
+        query: Arc::clone(&entry.query),
+        request: Arc::clone(&entry.request),
+        deadline: entry.deadline.clone(),
+        cache_was_corrupt: entry.cache_was_corrupt,
+        queued_for: entry.enqueued_at.elapsed(),
+        flight: Arc::clone(&entry.flight),
+        ctx: entry.ctx,
+    })
+}
+
+/// Solves a claimed job and moves it to its terminal state. The one
+/// transition out of `Running` releases the worker's `running` slot in
+/// the same step, so [`fail_job`] can tell whether a panic struck before
+/// or after it.
+fn run_job(shared: &Shared, job: &Claimed) {
+    let Claimed {
+        idx,
+        key,
+        ref query,
+        ref request,
+        ref flight,
+        ctx,
+        ..
+    } = *job;
+    let queue_wait_ns = job.queued_for.as_nanos().min(u128::from(u64::MAX)) as u64;
+    certnn_obs::histogram("serve.queue_wait_nanos").record(queue_wait_ns);
+    certnn_obs::windowed_histogram("serve.queue_wait_nanos").record(queue_wait_ns);
+
+    // Each job key gets its own checkpoint directory: the query
+    // fingerprint excludes budget knobs, so two concurrent jobs
+    // differing only in budget would otherwise race on the same
+    // snapshot file (and resume across budgets, skewing stats).
+    let ckpt_dir = shared.ckpt_dir.join(format!("{key:016x}"));
+    let _ = std::fs::create_dir_all(&ckpt_dir);
+    let mut policy = CheckpointPolicy::new(&ckpt_dir);
+    if shared.checkpoint_every > 0 {
+        policy.every_nodes = shared.checkpoint_every;
+    }
+    policy.resume = true;
+    let verifier = Verifier::with_options(query.options)
+        .with_deadline(job.deadline.clone())
+        .with_checkpoints(policy);
+    // The solve runs under a serve-side span parented under the
+    // client's propagated span context (when the submission carried
+    // one); checkpoint and phase figures are obs-collector deltas
+    // around the solve — exact with one worker, approximate under
+    // concurrency (see `crate::flight`).
+    let span = certnn_obs::span_child_of("serve.solve", ctx.map(|c| c.span_id));
+    flight.record(
+        FlightKind::SpanOpen,
+        span.id().unwrap_or(0),
+        ctx.map_or(0, |c| c.span_id),
+        "serve.solve",
+    );
+    let ckpt_written0 = certnn_obs::counter("ckpt.written").get();
+    let ckpt_bytes0 = certnn_obs::counter("ckpt.bytes").get();
+    let phases0 = certnn_obs::phase_totals();
+    let result = verifier.maximize(&query.net, &query.spec, &query.objective);
+    #[cfg(test)]
+    if PANIC_AFTER_SOLVE.load(Ordering::SeqCst) == key {
+        panic!("injected panic after the solve");
+    }
+    // Saturating: the obs registry is process-global and can be reset
+    // mid-solve.
+    let ckpt_written = certnn_obs::counter("ckpt.written")
+        .get()
+        .saturating_sub(ckpt_written0);
+    let ckpt_bytes = certnn_obs::counter("ckpt.bytes")
+        .get()
+        .saturating_sub(ckpt_bytes0);
+    if ckpt_written > 0 || ckpt_bytes > 0 {
+        flight.record(FlightKind::Checkpoint, ckpt_written, ckpt_bytes, "");
+    }
+    for after in certnn_obs::phase_totals() {
+        let before = phases0.iter().find(|p| p.phase == after.phase);
+        let d_self = after
+            .self_ns
+            .saturating_sub(before.map_or(0, |p| p.self_ns));
+        let d_count = after.count.saturating_sub(before.map_or(0, |p| p.count));
+        if d_self > 0 || d_count > 0 {
+            flight.record(FlightKind::Phase, d_self, d_count, after.phase.as_str());
+        }
+    }
+    flight.record(FlightKind::SpanClose, span.id().unwrap_or(0), 0, "");
+    drop(span);
+    let mut r = match result {
+        Ok(r) => r,
+        Err(e) => return fail_job(shared, job, e.to_string()),
+    };
+
+    let mut table = shared.table.lock().unwrap_or_else(|e| e.into_inner());
+    let cancelled = table.entries[idx].cancel_requested;
+    let draining = shared.draining.load(Ordering::SeqCst);
+    let state = if cancelled && r.status == MilpStatus::Aborted {
+        table.by_key.remove(&key);
+        shared.store.remove_job(key);
+        stat!(shared.stats, jobs_cancelled);
+        flight.record(FlightKind::Cancelled, 0, 0, "");
+        State::Cancelled
+    } else if draining && r.status == MilpStatus::Aborted {
+        // Interrupted by the drain: park it, keep the spool and
+        // checkpoint for the next daemon.
+        table.by_key.remove(&key);
+        let resumable = std::fs::read_dir(&ckpt_dir)
+            .map(|mut d| d.next().is_some())
+            .unwrap_or(false);
+        flight.record(FlightKind::Drained, u64::from(resumable), 0, "");
+        State::Drained
+    } else {
+        if job.cache_was_corrupt {
+            // Answered despite a damaged cache entry: same ladder as a
+            // damaged checkpoint.
+            r.stats.degradation = r.stats.degradation.merge(Degradation::CheckpointFallback);
+        }
+        let outcome = JobOutcome::from_max_result(key, &r);
+        let wall_nanos = outcome.stats.elapsed_nanos();
+        certnn_obs::histogram("serve.job_wall_nanos").record(wall_nanos);
+        certnn_obs::windowed_histogram("serve.job_wall_nanos").record(wall_nanos);
+        if outcome.status != MilpStatus::Aborted
+            && shared.store.put_cert(&outcome, request).is_err()
+        {
+            note_event(
+                shared,
+                "serve.cache_write_failed",
+                vec![("key", format!("{key:016x}").into())],
+            );
+        }
+        shared.store.remove_job(key);
+        // The finished solve deleted its snapshot; reap the per-key
+        // directory if nothing is left in it.
+        let _ = std::fs::remove_dir(&ckpt_dir);
+        if outcome.degradation != Degradation::Exact {
+            flight.record(
+                FlightKind::Degradation,
+                u64::from(degradation_code(outcome.degradation)),
+                0,
+                format!("{:?}", outcome.degradation),
+            );
+        }
+        flight.record(
+            FlightKind::Finished,
+            outcome.stats.nodes as u64,
+            wall_nanos,
+            "",
+        );
+        // Persist the audit trail next to the certificate so it survives
+        // daemon restarts.
+        let _ = shared.store.put_flight(&flight.snapshot());
+        stat!(shared.stats, jobs_completed);
+        State::Done(Arc::new(outcome))
+    };
+    table.running -= 1;
+    table.entries[idx].state = state;
+}
+
+/// Ends a claimed job `Failed` with `error`: a verifier error, or a panic
+/// anywhere in its body. A job that already left `Running` keeps its
+/// state, so the worker's `running` slot is released exactly once.
+fn fail_job(shared: &Shared, job: &Claimed, error: String) {
+    let mut table = shared.table.lock().unwrap_or_else(|e| e.into_inner());
+    if !matches!(table.entries[job.idx].state, State::Running) {
+        return;
+    }
+    table.running -= 1;
+    table.entries[job.idx].state = State::Failed(error.clone());
+    table.by_key.remove(&job.key);
+    shared.store.remove_job(job.key);
+    stat!(shared.stats, jobs_failed);
+    job.flight.record(FlightKind::Failed, 0, 0, error.clone());
+    let _ = shared.store.put_flight(&job.flight.snapshot());
+    note_event(
+        shared,
+        "serve.job_failed",
+        vec![
+            ("key", format!("{:016x}", job.key).into()),
+            ("error", error.into()),
+        ],
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1292,5 +1344,58 @@ mod tests {
         assert_eq!(names, sorted, "snapshot must be name-sorted");
         assert_eq!(stats.get("serve.jobs_coalesced"), 3);
         assert_eq!(stats.get("serve.no_such_counter"), 0);
+    }
+
+    #[test]
+    fn a_panic_after_the_solve_fails_the_job_and_frees_its_worker() {
+        use crate::client::Client;
+        use crate::ServeError;
+        use certnn_linalg::Interval;
+        let dir =
+            std::env::temp_dir().join(format!("certnn_serve_backstop_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeOptions {
+            workers: 1,
+            ..ServeOptions::loopback(&dir)
+        })
+        .unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let request = |seed| {
+            let net = Network::relu_mlp(3, &[6], 1, seed).unwrap();
+            let spec = InputSpec::from_box(vec![Interval::new(-1.0, 1.0); 3]).unwrap();
+            let obj = LinearObjective::output(0);
+            JobRequest::from_query(&net, &spec, &obj, &VerifierOptions::default(), None)
+        };
+        let (doomed, next) = (request(1), request(2));
+        PANIC_AFTER_SOLVE.store(doomed.job_key().unwrap(), Ordering::SeqCst);
+        let job = client.submit(&doomed).unwrap().job;
+        // Poll instead of blocking in `result`: a stranded job would hang.
+        let t0 = Instant::now();
+        let err = loop {
+            match client.try_result(job) {
+                Ok(None) => {
+                    assert!(
+                        t0.elapsed() < Duration::from_secs(60),
+                        "job stranded Running"
+                    );
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Ok(Some(_)) => panic!("the injected panic must fail the job"),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(&err, ServeError::Remote { code: ErrorCode::JobFailed, message }
+                if message.contains("injected panic after the solve")),
+            "{err}"
+        );
+        // The pool's one worker lives on and takes the next job.
+        let next_job = client.submit(&next).unwrap().job;
+        assert!(client.result(next_job).unwrap().best_value.is_some());
+        assert_eq!(client.metrics().unwrap().workers_busy, 0);
+        assert_eq!(server.stats().get("serve.jobs_failed"), 1);
+        assert_eq!(server.stats().get("serve.jobs_completed"), 1);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

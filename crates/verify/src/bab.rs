@@ -58,9 +58,7 @@
 //! candidate incumbent must satisfy every constraint.
 
 use crate::bounds::{interval_objective_ceiling, PhaseAnalyzer, PhasedAnalysis};
-use crate::checkpoint::{
-    self, CheckpointError, CheckpointPolicy, Snapshot, SnapshotNode, WarmDesc,
-};
+use crate::checkpoint::{CheckpointPolicy, Checkpointer, Snapshot};
 use crate::encoder::{encode, BoundMethod, Encoding};
 use crate::property::{InputSpec, LinearObjective};
 use crate::verifier::{VerifyStats, NODE_HAND_OFF_UNSTABLE};
@@ -72,10 +70,9 @@ use certnn_lp::{
 use certnn_milp::{MilpModel, MilpStatus, INT_TOL};
 use certnn_nn::network::Network;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Cached `bab.*` observability handles. Frequent per-node totals stay in
@@ -250,11 +247,17 @@ pub struct BabResult {
     pub stats: VerifyStats,
 }
 
-#[derive(Clone)]
-struct Node {
-    phases: Vec<Option<bool>>,
-    bound: f64,
-    depth: usize,
+/// One open node of the search frontier. Snapshots write these nodes
+/// and their warm starts as they are (see [`crate::checkpoint`]).
+#[derive(Clone, Debug)]
+pub(crate) struct Node {
+    /// Per-ReLU phase: `None` open, `Some(false)` forced inactive,
+    /// `Some(true)` forced active (pinned binaries under the LP rule).
+    pub(crate) phases: Vec<Option<bool>>,
+    /// Proven upper bound of the node's subtree.
+    pub(crate) bound: f64,
+    /// Depth in the search tree.
+    pub(crate) depth: usize,
     /// Creation sequence number, assigned under the frontier lock (root
     /// is `0`). Makes the heap order *total*: among nodes with equal
     /// `(bound, depth)` the earliest-created pops first, so the pop
@@ -262,24 +265,24 @@ struct Node {
     /// for a resumed search to replay the uninterrupted run exactly
     /// (`BinaryHeap` breaks ties by internal layout, which a
     /// serialize/rebuild cycle cannot preserve).
-    seq: u64,
+    pub(crate) seq: u64,
     /// Panic-retry count: how many times this node's processing died and
     /// was re-queued (see [`MAX_NODE_RETRIES`]).
-    retries: usize,
+    pub(crate) retries: usize,
     /// Optimal basis of the nearest solved ancestor, shared across
     /// siblings. Parent-to-child bound changes are small (one binary
     /// fixed plus interval refinements), so this basis has far better
     /// locality than any last-solved cache under best-first ordering.
-    warm: Option<Arc<WarmStart>>,
+    pub(crate) warm: Option<Arc<WarmStart>>,
     /// Tuned α slopes of the nearest tuned ancestor, shared across
     /// siblings — the warm start of this node's own α descent. One fixed
     /// phase barely moves the optimal slopes, so children converge in a
     /// round or two. `None` when tuning is off (`alpha_iters == 0`) and
     /// under the LP rule.
-    alpha: Option<Arc<Vec<f64>>>,
+    pub(crate) alpha: Option<Arc<Vec<f64>>>,
     /// `true` for an LP-rule node, whose phases are pinned binaries of
     /// the big-M encoding; `false` for a phase-rule node.
-    lp_rule: bool,
+    pub(crate) lp_rule: bool,
 }
 
 impl PartialEq for Node {
@@ -345,10 +348,6 @@ struct Frontier {
     next_seq: u64,
     /// Processed-node counter (the serial `nodes` statistic).
     nodes: usize,
-    /// `nodes` value at the last snapshot (cadence tracking).
-    last_ckpt_nodes: usize,
-    /// Wall instant of the last snapshot (cadence tracking).
-    last_ckpt_at: Instant,
     /// First stop reason; later stop attempts keep the first.
     halt: Option<MilpStatus>,
     /// Max bound over subtrees abandoned by an early stop; folded into
@@ -374,55 +373,25 @@ struct Frontier {
     failed: bool,
 }
 
-/// Per-run checkpointing state derived from a [`CheckpointPolicy`].
-struct CkptRuntime {
-    /// This query's checkpoint file (content-addressed name).
-    path: PathBuf,
-    /// Fingerprint of (weights, property, search-shape options, seed).
-    query_hash: u64,
-    /// Run seed recorded into every snapshot.
-    seed: u64,
-    /// Snapshot after this many newly processed nodes (≥ 1).
-    every_nodes: usize,
-    /// Start of *this* run, for the cumulative elapsed figure.
-    run_start: Instant,
-    /// Search wall time accumulated by previous runs of this query.
-    prior_elapsed_nanos: u64,
-    /// Single-writer gate: at most one worker serializes at a time;
-    /// others skip their cadence check instead of queueing.
-    writing: AtomicBool,
-    /// How long the latest snapshot took to build and write, ns.
-    last_write_nanos: AtomicU64,
-}
-
-/// Frontier fields restored from a resumed snapshot (defaults for a
-/// fresh search).
-struct FrontierInit {
-    nodes: usize,
-    next_seq: u64,
-    dropped: f64,
-    degradation: Degradation,
-}
-
-impl Default for FrontierInit {
-    fn default() -> Self {
-        Self {
-            nodes: 0,
-            next_seq: 1,
-            dropped: f64::NEG_INFINITY,
-            degradation: Degradation::Exact,
+impl Frontier {
+    /// What a snapshot records of the frontier: the queued heap in
+    /// iteration order, then every claimed in-flight node, with the
+    /// counters. `nodes_done` excludes in-flight work — those nodes are
+    /// written for re-processing, so the resumed search counts them again
+    /// at re-claim and the cumulative node count matches an uninterrupted
+    /// run exactly.
+    fn snapshot(&self) -> Snapshot {
+        let mut frontier: Vec<Node> = self.heap.iter().cloned().collect();
+        frontier.extend(self.claimed.iter().flatten().cloned());
+        Snapshot {
+            nodes_done: (self.nodes - self.in_flight) as u64,
+            next_seq: self.next_seq,
+            dropped_bound: self.dropped,
+            degradation: self.sticky_degradation,
+            frontier,
+            ..Snapshot::default()
         }
     }
-}
-
-/// Everything a snapshot needs from the frontier, cloned under the lock;
-/// serialization and file IO then happen outside it.
-struct SnapshotJob {
-    nodes: Vec<Node>,
-    nodes_done: u64,
-    next_seq: u64,
-    dropped: f64,
-    degradation: Degradation,
 }
 
 /// Cross-worker search state.
@@ -434,9 +403,9 @@ struct SearchState {
     /// incumbent mutex. Reads are lock-free and monotone: a stale value
     /// is always lower, so pruning against it is conservative (sound).
     best_bits: AtomicU64,
-    /// Checkpointing runtime; `None` means the feature is off and every
-    /// hook below is a no-op.
-    ckpt: Option<CkptRuntime>,
+    /// Checkpointing; `None` means the feature is off and every hook
+    /// below is a no-op.
+    ckpt: Option<Checkpointer>,
 }
 
 /// Running estimate of the pivots one worker's warm starts saved: each
@@ -523,27 +492,22 @@ impl NodeOutcome {
 }
 
 impl SearchState {
-    fn new(
-        workers: usize,
-        roots: Vec<Node>,
-        init: FrontierInit,
-        ckpt: Option<CkptRuntime>,
-    ) -> Self {
+    /// A search over `start`'s frontier and counters (its incumbent is
+    /// the caller's to re-verify).
+    fn new(workers: usize, start: Snapshot, ckpt: Option<Checkpointer>) -> Self {
         Self {
             frontier: Mutex::new(Frontier {
-                heap: BinaryHeap::from(roots),
+                heap: BinaryHeap::from(start.frontier),
                 in_flight: 0,
                 active: vec![f64::NEG_INFINITY; workers],
                 claimed: (0..workers).map(|_| None).collect(),
-                next_seq: init.next_seq,
-                nodes: init.nodes,
-                last_ckpt_nodes: init.nodes,
-                last_ckpt_at: Instant::now(),
+                next_seq: start.next_seq,
+                nodes: start.nodes_done as usize,
                 halt: None,
                 abandoned: f64::NEG_INFINITY,
-                dropped: init.dropped,
-                degradation: init.degradation,
-                sticky_degradation: init.degradation,
+                dropped: start.dropped_bound,
+                degradation: start.degradation,
+                sticky_degradation: start.degradation,
                 dead_workers: 0,
                 failed: false,
             }),
@@ -684,7 +648,7 @@ impl SearchState {
 
     /// Publishes the outcome of worker `wid`'s current node.
     fn complete(&self, wid: usize, outcome: NodeOutcome) {
-        let job = {
+        let snap = {
             let mut f = self.frontier.lock().unwrap_or_else(|e| e.into_inner());
             for mut child in outcome.children {
                 // Sequence numbers are assigned here, under the lock, in
@@ -712,62 +676,20 @@ impl SearchState {
             f.in_flight -= 1;
             bab_metrics().frontier_depth.set(f.heap.len() as i64);
             self.work_ready.notify_all();
-            self.snapshot_due(&mut f)
+            // The frontier is cloned under the lock; the incumbent is read
+            // and the snapshot encoded and written outside it. A stopping
+            // search leaves its state to the final flush.
+            self.ckpt
+                .as_ref()
+                .filter(|c| f.halt.is_none() && !f.failed && c.due(f.nodes))
+                .map(|c| (c, f.snapshot()))
         };
-        if let Some(job) = job {
-            self.write_checkpoint(job);
+        if let Some((c, mut snap)) = snap {
+            snap.incumbent = (self.incumbent.lock().unwrap_or_else(|e| e.into_inner()))
+                .as_ref()
+                .map(|(x, v)| (x.as_slice().to_vec(), *v));
+            c.write(snap);
         }
-    }
-
-    /// Decides under the frontier lock whether a snapshot is due and, if
-    /// so, clones what it needs. Returns `None` when checkpointing is off,
-    /// the search is stopping (the final flush owns that state), the
-    /// cadence has not fired, or another worker is already writing.
-    fn snapshot_due(&self, f: &mut Frontier) -> Option<SnapshotJob> {
-        let rt = self.ckpt.as_ref()?;
-        if f.halt.is_some() || f.failed {
-            return None;
-        }
-        // The node cadence waits until the search has run at least as
-        // long since the last snapshot as that snapshot took to write, so
-        // writing costs at most half the wall time however small
-        // `every_nodes` is.
-        let since = f.last_ckpt_at.elapsed();
-        let last_write = Duration::from_nanos(rt.last_write_nanos.load(AtomicOrdering::Relaxed));
-        let due_nodes =
-            f.nodes.saturating_sub(f.last_ckpt_nodes) >= rt.every_nodes && since >= 2 * last_write;
-        let due_time = since >= checkpoint::DEFAULT_EVERY;
-        if !due_nodes && !due_time {
-            return None;
-        }
-        if rt
-            .writing
-            .compare_exchange(
-                false,
-                true,
-                AtomicOrdering::AcqRel,
-                AtomicOrdering::Acquire,
-            )
-            .is_err()
-        {
-            return None;
-        }
-        f.last_ckpt_nodes = f.nodes;
-        f.last_ckpt_at = Instant::now();
-        Some(collect_snapshot_job(f))
-    }
-
-    /// Serializes and atomically writes a snapshot outside the frontier
-    /// lock. Failures are reported through obs and otherwise ignored:
-    /// checkpointing must never affect the solve.
-    fn write_checkpoint(&self, job: SnapshotJob) {
-        let Some(rt) = self.ckpt.as_ref() else { return };
-        let incumbent = {
-            let inc = self.incumbent.lock().unwrap_or_else(|e| e.into_inner());
-            inc.as_ref()
-                .map(|(x, v)| (x.iter().copied().collect::<Vec<f64>>(), *v))
-        };
-        serialize_and_write(rt, &job, incumbent);
     }
 
     /// Publishes a panic while worker `wid` processed `node`: the node is
@@ -857,190 +779,6 @@ impl SearchState {
         f.in_flight -= 1;
         self.work_ready.notify_all();
     }
-}
-
-/// Clones everything a snapshot serializes: the queued heap plus every
-/// claimed in-flight node. `nodes_done` excludes in-flight work — those
-/// nodes are serialized for re-processing, so the resumed search counts
-/// them again at re-claim and the cumulative node count matches an
-/// uninterrupted run exactly.
-fn collect_snapshot_job(f: &Frontier) -> SnapshotJob {
-    let mut nodes: Vec<Node> = f.heap.iter().cloned().collect();
-    nodes.extend(f.claimed.iter().flatten().cloned());
-    SnapshotJob {
-        nodes,
-        nodes_done: (f.nodes - f.in_flight) as u64,
-        next_seq: f.next_seq,
-        dropped: f.dropped,
-        degradation: f.sticky_degradation,
-    }
-}
-
-/// Encodes a snapshot and writes it atomically, metering the outcome and
-/// always releasing the single-writer gate. IO failures are reported
-/// through obs and otherwise swallowed — checkpointing must never affect
-/// the solve.
-fn serialize_and_write(rt: &CkptRuntime, job: &SnapshotJob, incumbent: Option<(Vec<f64>, f64)>) {
-    let t0 = Instant::now();
-    let snap = build_snapshot(rt, job, incumbent);
-    match checkpoint::write_snapshot(&rt.path, &snap) {
-        Ok(bytes) => {
-            let m = checkpoint::ckpt_metrics();
-            m.written.inc();
-            m.bytes.add(bytes);
-            m.snapshot_nanos.record_duration(t0.elapsed());
-        }
-        Err(e) => {
-            certnn_obs::event("ckpt.write_failed", vec![("error", e.to_string().into())]);
-        }
-    }
-    let took = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    rt.last_write_nanos.store(took, AtomicOrdering::Relaxed);
-    rt.writing.store(false, AtomicOrdering::Release);
-}
-
-/// Converts a [`SnapshotJob`] into the serializable [`Snapshot`], deduping
-/// warm-start bases by `Arc` identity (siblings share their parent's) and
-/// describing each by its basis and factorization history — numeric
-/// factorizations never leave the process.
-fn build_snapshot(
-    rt: &CkptRuntime,
-    job: &SnapshotJob,
-    incumbent: Option<(Vec<f64>, f64)>,
-) -> Snapshot {
-    let mut warm_pool: Vec<WarmDesc> = Vec::new();
-    let mut warm_index: HashMap<usize, u64> = HashMap::new();
-    let frontier = job
-        .nodes
-        .iter()
-        .map(|n| {
-            let warm_idx = n.warm.as_ref().map(|w| {
-                let key = Arc::as_ptr(w) as usize;
-                *warm_index.entry(key).or_insert_with(|| {
-                    let (basis, status) = w.describe();
-                    warm_pool.push(WarmDesc {
-                        m: basis.len() as u64,
-                        n_struct: (status.len() - basis.len()) as u64,
-                        basis,
-                        status,
-                        factor: w.describe_factor(),
-                    });
-                    (warm_pool.len() - 1) as u64
-                })
-            });
-            SnapshotNode {
-                bound: n.bound,
-                depth: n.depth as u64,
-                seq: n.seq,
-                retries: n.retries.min(u8::MAX as usize) as u8,
-                phases: n
-                    .phases
-                    .iter()
-                    .map(|p| match p {
-                        None => 0u8,
-                        Some(false) => 1,
-                        Some(true) => 2,
-                    })
-                    .collect(),
-                alpha: n.alpha.as_deref().cloned(),
-                warm_idx,
-                lp_rule: n.lp_rule,
-            }
-        })
-        .collect();
-    Snapshot {
-        query_hash: rt.query_hash,
-        seed: rt.seed,
-        nodes_done: job.nodes_done,
-        next_seq: job.next_seq,
-        elapsed_nanos: rt.prior_elapsed_nanos + rt.run_start.elapsed().as_nanos() as u64,
-        dropped_bound: job.dropped,
-        degradation: job.degradation,
-        incumbent,
-        warm_pool,
-        frontier,
-    }
-}
-
-/// What the resume attempt produced.
-enum ResumeOutcome {
-    /// No checkpoint on disk — a plain fresh solve, no tag.
-    Fresh,
-    /// A file exists but cannot be trusted (corruption, torn write,
-    /// wrong query, structural lie): fresh solve tagged
-    /// [`Degradation::CheckpointFallback`].
-    Rejected(CheckpointError),
-    /// A fully verified snapshot to rebuild the frontier from.
-    Resumed(Box<Snapshot>),
-}
-
-/// Reads and fully vets a checkpoint for this exact query. Never panics
-/// and never surfaces an error to the solve: every failure mode maps to a
-/// fresh solve.
-fn load_resume(
-    path: &std::path::Path,
-    expected_hash: u64,
-    total_relu: usize,
-    num_inputs: usize,
-) -> ResumeOutcome {
-    match checkpoint::read_snapshot(path) {
-        Err(CheckpointError::Io(std::io::ErrorKind::NotFound, _)) => ResumeOutcome::Fresh,
-        Err(e) => ResumeOutcome::Rejected(e),
-        Ok(snap) => {
-            if snap.query_hash != expected_hash {
-                return ResumeOutcome::Rejected(CheckpointError::QueryMismatch {
-                    expected: expected_hash,
-                    found: snap.query_hash,
-                });
-            }
-            match snap.validate(total_relu, num_inputs) {
-                Ok(()) => ResumeOutcome::Resumed(Box::new(snap)),
-                Err(e) => ResumeOutcome::Rejected(e),
-            }
-        }
-    }
-}
-
-/// Rebuilds live frontier nodes from a vetted snapshot. Warm starts are
-/// reconstructed from their basis descriptions with no factorization — the
-/// first LP solve replays the factorization history from the model's own
-/// columns, so the resumed search computes what the uninterrupted one
-/// would have. A basis description the LP layer rejects degrades that one
-/// node to a cold solve (`None`), which is always sound.
-fn rebuild_frontier(snap: &Snapshot) -> Vec<Node> {
-    let warm_arcs: Vec<Option<Arc<WarmStart>>> = snap
-        .warm_pool
-        .iter()
-        .map(|d| {
-            let (n_struct, m) = (d.n_struct as usize, d.m as usize);
-            WarmStart::from_description(&d.basis, &d.status, n_struct, m, &d.factor).map(Arc::new)
-        })
-        .collect();
-    snap.frontier
-        .iter()
-        .map(|sn| Node {
-            phases: sn
-                .phases
-                .iter()
-                .map(|&p| match p {
-                    1 => Some(false),
-                    2 => Some(true),
-                    _ => None,
-                })
-                .collect(),
-            bound: sn.bound,
-            depth: sn.depth as usize,
-            seq: sn.seq,
-            retries: sn.retries as usize,
-            warm: sn.warm_idx.and_then(|i| warm_arcs[i as usize].clone()),
-            // Any α in [0,1] is sound; clamp rather than trust.
-            alpha: sn
-                .alpha
-                .as_ref()
-                .map(|a| Arc::new(a.iter().map(|v| v.clamp(0.0, 1.0)).collect())),
-            lp_rule: sn.lp_rule,
-        })
-        .collect()
 }
 
 /// Maximises `objective` over `spec` (a box, optionally intersected with
@@ -1188,81 +926,11 @@ pub fn bab_maximize_ckpt(
     // bound the search hands back when it cannot finish.
     let iv_ceiling = interval_objective_ceiling(net, input_box, objective)?;
 
-    // Checkpoint setup: content-address the query, then (optionally) vet
-    // and load an existing snapshot. Every failure mode short of a clean
-    // resume is a fresh solve — corruption costs the salvaged work, never
-    // the answer.
-    let mut ckpt_rt: Option<CkptRuntime> = None;
-    let mut init = FrontierInit::default();
-    let mut resume_nodes: Option<Vec<Node>> = None;
-    let mut resume_witness: Option<Vec<f64>> = None;
-    if let Some(policy) = ckpt {
-        // Fold the run seed and every tree-shaping option into the file
-        // key: a snapshot only ever meets a search that would walk the
-        // identical tree.
-        let query_hash = {
-            let mut h = crate::sealed::Fnv1a::new();
-            h.write_u64(checkpoint::query_fingerprint(net, spec, objective));
-            h.write_u64(policy.seed);
-            h.write_f64(opts.abs_gap);
-            h.write_u64(opts.milp_threshold as u64);
-            h.write_u64(opts.alpha_iters as u64);
-            h.write(&[u8::from(opts.warm_start), u8::from(opts.lp_skip)]);
-            h.write_f64(opts.target_objective.unwrap_or(f64::NAN));
-            h.write_f64(opts.bound_cutoff.unwrap_or(f64::NAN));
-            h.finish()
-        };
-        let path = policy.file_for(query_hash);
-        let mut prior_elapsed_nanos = 0u64;
-        if policy.resume {
-            match load_resume(&path, query_hash, total_relu, net.inputs()) {
-                ResumeOutcome::Fresh => {}
-                ResumeOutcome::Rejected(e) => {
-                    checkpoint::ckpt_metrics().corrupt_fallbacks.inc();
-                    init.degradation = Degradation::CheckpointFallback;
-                    certnn_obs::event(
-                        "ckpt.resume_rejected",
-                        vec![
-                            ("error", e.to_string().into()),
-                            ("path", path.display().to_string().into()),
-                        ],
-                    );
-                }
-                ResumeOutcome::Resumed(snap) => {
-                    checkpoint::ckpt_metrics().resume_ok.inc();
-                    prior_elapsed_nanos = snap.elapsed_nanos;
-                    init.nodes = snap.nodes_done as usize;
-                    init.next_seq = snap.next_seq;
-                    init.dropped = snap.dropped_bound;
-                    init.degradation = snap.degradation;
-                    resume_witness = snap.incumbent.as_ref().map(|(w, _)| w.clone());
-                    resume_nodes = Some(rebuild_frontier(&snap));
-                    certnn_obs::event(
-                        "ckpt.resumed",
-                        vec![
-                            ("nodes_done", snap.nodes_done.into()),
-                            ("frontier", snap.frontier.len().into()),
-                            ("path", path.display().to_string().into()),
-                        ],
-                    );
-                }
-            }
-        }
-        ckpt_rt = Some(CkptRuntime {
-            path,
-            query_hash,
-            seed: policy.seed,
-            every_nodes: policy.every_nodes.max(1),
-            run_start: start,
-            prior_elapsed_nanos,
-            writing: AtomicBool::new(false),
-            last_write_nanos: AtomicU64::new(0),
-        });
-    }
-
-    let roots = match resume_nodes {
-        Some(nodes) => nodes,
-        None => vec![Node {
+    // The search starts at the root, or where a vetted snapshot of this
+    // query left off. Every failure mode short of a clean resume is a
+    // fresh solve — corruption costs the salvaged work, never the answer.
+    let fresh = Snapshot {
+        frontier: vec![Node {
             phases: root_phases,
             bound: root_bound,
             depth: 0,
@@ -1272,10 +940,19 @@ pub fn bab_maximize_ckpt(
             alpha: root_alpha.map(Arc::new),
             lp_rule: false,
         }],
+        ..Snapshot::default()
     };
-    let state = SearchState::new(threads_used, roots, init, ckpt_rt);
+    let (ckpt, mut start_state) = match ckpt {
+        Some(policy) => {
+            let (c, s) = Checkpointer::open(policy, net, spec, objective, opts, fresh);
+            (Some(c), s)
+        }
+        None => (None, fresh),
+    };
+    let resume_witness = start_state.incumbent.take();
+    let state = SearchState::new(threads_used, start_state, ckpt);
     state.try_incumbent(&ctx, &root.maximizer);
-    if let Some(w) = resume_witness {
+    if let Some((w, _)) = resume_witness {
         // The stored incumbent is only ever installed through a fresh
         // forward pass: its achieved value is re-derived, never read.
         state.try_incumbent(&ctx, &Vector::from(w));
@@ -1410,6 +1087,12 @@ pub fn bab_maximize_ckpt(
 
     stats.nodes = frontier.nodes;
     stats.elapsed = start.elapsed();
+    if let Some(c) = &state.ckpt {
+        c.finish(status, || Snapshot {
+            incumbent: incumbent.as_ref().map(|(x, v)| (x.as_slice().to_vec(), *v)),
+            ..frontier.snapshot()
+        });
+    }
     let (witness, best_value) = match incumbent {
         Some((x, v)) => (Some(x), Some(v)),
         None => (None, None),
@@ -1443,34 +1126,6 @@ pub fn bab_maximize_ckpt(
                 ("threads", threads_used.into()),
             ],
         );
-    }
-    // Anytime semantics: an early stop flushes a final snapshot so the
-    // caller holds a resumable handle; a finished answer (optimal,
-    // cutoff, target, infeasible) deletes the file — a completed query
-    // must not leave a stale resume behind.
-    if let Some(rt) = &state.ckpt {
-        let resumable = matches!(
-            status,
-            MilpStatus::TimeLimit | MilpStatus::NodeLimit | MilpStatus::Aborted
-        );
-        if resumable {
-            let mut nodes = frontier.heap.into_vec();
-            nodes.extend(frontier.claimed.into_iter().flatten());
-            let job = SnapshotJob {
-                nodes,
-                nodes_done: (stats.nodes - frontier.in_flight) as u64,
-                next_seq: frontier.next_seq,
-                dropped: frontier.dropped,
-                degradation: frontier.sticky_degradation,
-            };
-            let inc = match (&witness, best_value) {
-                (Some(x), Some(v)) => Some((x.iter().copied().collect::<Vec<f64>>(), v)),
-                _ => None,
-            };
-            serialize_and_write(rt, &job, inc);
-        } else {
-            checkpoint::remove_snapshot(&rt.path);
-        }
     }
     drop(fold_phase);
     drop(run_span);

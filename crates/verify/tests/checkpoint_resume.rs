@@ -243,7 +243,8 @@ fn query_mismatch_is_rejected_even_with_valid_checksums() {
 
     // Re-encode the snapshot with a different query hash: checksums are
     // valid, the content-address is not. The resume must reject it.
-    let mut snap = decode_snapshot(&std::fs::read(&file).unwrap()).unwrap();
+    let bytes = std::fs::read(&file).unwrap();
+    let mut snap = decode_snapshot(&bytes, net.num_relu_neurons(), net.inputs()).unwrap();
     snap.query_hash ^= 1;
     std::fs::write(&file, encode_snapshot(&snap)).unwrap();
 
